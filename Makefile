@@ -85,15 +85,15 @@ byzsmoke:
 	$(GO) test -race -count=1 -run 'TCPByzantine|RetryJitter' ./internal/fl/transport
 	$(GO) test -race -count=1 ./internal/fl/robust ./internal/fl/faults
 
-# Short fuzz bursts over the two decoders that parse untrusted bytes: the
-# coordinator's byte-budgeted update decode (the path hostile clients
-# reach over the wire) and the checkpoint container decode (the path a
-# resuming process walks over whatever a crash left on disk), plus the
-# robust aggregators (which must never panic or emit non-finite
-# aggregates, whatever a hostile cohort sends). Raise FUZZTIME for a real
-# campaign: make fuzz FUZZTIME=10m
+# Short fuzz bursts over the decoders that parse untrusted bytes: the
+# hello and welcome handshake decoders (the first bytes an
+# unauthenticated peer sends), the wire frame and payload decoders, and
+# the checkpoint container decode (the path a resuming process walks over
+# whatever a crash left on disk), plus the robust aggregators (which must
+# never panic or emit non-finite aggregates, whatever a hostile cohort
+# sends). Raise FUZZTIME for a real campaign: make fuzz FUZZTIME=10m
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeUpdate -fuzztime=$(FUZZTIME) ./internal/fl/transport
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeHello -fuzztime=$(FUZZTIME) ./internal/fl/wire
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=$(FUZZTIME) ./internal/fl/checkpoint
 	$(GO) test -run='^$$' -fuzz=FuzzRobustAggregate -fuzztime=$(FUZZTIME) ./internal/fl/robust
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME) ./internal/fl/wire
@@ -125,19 +125,20 @@ benchsmoke:
 
 # wirecheck is the wire-path conformance sweep: golden byte-exact frame
 # fixtures, the codec/compression unit and property suites, the
-# gob↔binary negotiation matrix and compressed e2e/restart tests, short
-# fuzz bursts over both frame decoders, and the bench-backed wire gate
-# (≥10x byte reduction for topk8 vs gob, binary decode no slower).
+# compressed e2e/restart tests, short fuzz bursts over both frame
+# decoders, and the bench-backed wire gate (≥10x byte reduction for topk8
+# and binary decode no slower, both against the gob decoder's numbers
+# recorded in BENCH_PR7.json).
 wirecheck:
 	$(GO) test -count=1 ./internal/fl/wire ./internal/fl/compress
-	$(GO) test -count=1 -run 'Sparse|Densify|Codec|Compressed|MixedRoster|Bank' \
+	$(GO) test -count=1 -run 'Sparse|Densify|Compressed|Bank' \
 		./internal/fl ./internal/fl/transport ./internal/fl/checkpoint
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=5s ./internal/fl/wire
 	$(GO) test -run='^$$' -fuzz=FuzzDecompressUpdate -fuzztime=5s ./internal/fl/wire
 	$(GO) run ./cmd/cipbench -bench Wire -wire-gate >/dev/null
 
 # benchwire regenerates the tracked wire-path report: decode ns/op and
-# wire bytes per update for gob vs binary vs compressed, with the same
+# wire bytes per update for binary vs compressed frames, with the same
 # gate wirecheck holds.
 benchwire:
 	$(GO) run ./cmd/cipbench -bench Wire -wire-gate \

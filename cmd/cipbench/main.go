@@ -41,8 +41,8 @@ func run() error {
 		"previous bench report whose numbers become each op's 'before'")
 	benchNote := flag.String("bench-note", "", "free-form note embedded in the bench report")
 	wireGateFlag := flag.Bool("wire-gate", false,
-		"enforce the wire-path lines on the bench run: ≥10x byte reduction for topk8 vs gob "+
-			"and binary decode no slower than gob")
+		"enforce the wire-path lines on the bench run: ≥10x byte reduction for topk8 vs the "+
+			"gob decoder's recorded bytes/update and binary decode no slower than its recorded ns/op")
 	scaleGateFlag := flag.Bool("scale-gate", false,
 		"run the 10k-client streaming-vs-buffered load pair and fail unless the streaming "+
 			"fold's peak heap is ≥5x below the buffered baseline's")

@@ -61,19 +61,13 @@ func run() error {
 			"forward one weighted partial per round to -parent), interior (aggregate partials "+
 			"from child nodes and forward one partial to -parent), or root (accept one partial "+
 			"per child and own the global model)")
-	rootAddr := flag.String("root", "", "legacy alias for -parent (with -role leaf)")
 	leafID := flag.Int("leaf-id", 0, "this node's ID in its parent's roster (with -role leaf or interior)")
 	leaves := flag.Int("leaves", 0, "child roster size (with -role root or interior; 0 means -clients)")
 	robustFlags := flcli.RegisterRobustFlags()
-	codecFlag := flcli.RegisterCodecFlag()
 	sampleFlags := flcli.RegisterSampleFlags()
 	treeFlags := flcli.RegisterTreeFlags()
 	flag.Parse()
 
-	codec, err := flcli.ParseCodec(*codecFlag)
-	if err != nil {
-		return err
-	}
 	if err := sampleFlags.Validate(); err != nil {
 		return err
 	}
@@ -110,7 +104,6 @@ func run() error {
 		RoundTimeout:   *roundTimeout,
 		AcceptWindow:   *acceptWindow,
 		MaxUpdateNorm:  *maxUpdateNorm,
-		Codec:          codec,
 		Robust:         robustAgg,
 		Reputation:     reputation,
 		SampleFraction: *sampleFlags.Frac,
@@ -124,9 +117,6 @@ func run() error {
 		// The root of an aggregation tree: every roster slot is a child
 		// aggregator sending one weighted partial per round, and killed
 		// children may rejoin at a round boundary.
-		if codec != "binary" {
-			return fmt.Errorf("-role root requires -codec binary (partial frames have no gob spelling)")
-		}
 		coord.AcceptPartials = true
 		coord.AcceptRejoins = true
 		if *leaves > 0 {
@@ -137,7 +127,7 @@ func run() error {
 		}
 		coord.CoverageFloor = *treeFlags.CoverageFloor
 	case "leaf", "interior":
-		parent := treeFlags.ParentAddr(*rootAddr)
+		parent := *treeFlags.Parent
 		if parent == "" {
 			return fmt.Errorf("-role %s requires -parent (the upstream aggregator's address)", *role)
 		}
@@ -145,9 +135,6 @@ func run() error {
 			return fmt.Errorf("-role %s cannot checkpoint; tree nodes are stateless — checkpoint the root", *role)
 		}
 		if *role == "interior" {
-			if codec != "binary" {
-				return fmt.Errorf("-role interior requires -codec binary (partial frames have no gob spelling)")
-			}
 			coord.AcceptPartials = true
 			coord.AcceptRejoins = true
 			if *leaves > 0 {
@@ -203,9 +190,6 @@ func run() error {
 	}
 	if robustAgg != nil {
 		fmt.Printf("robust aggregation: %s\n", robustAgg.Name())
-	}
-	if codec != "" {
-		fmt.Printf("wire codec: %s (clients negotiate per-connection; compression follows their offer)\n", codec)
 	}
 	if *ckptPath != "" {
 		coord.Checkpoint = &checkpoint.Manager{Path: *ckptPath, Metrics: checkpoint.NewMetrics(reg)}

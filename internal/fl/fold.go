@@ -28,7 +28,7 @@ import (
 // Partial is one aggregation subtree's pre-division contribution: the
 // weighted parameter sums of the updates it folded, the total weight, and
 // the contributing client count. It is what a leaf coordinator sends its
-// root each round (wire.MsgPartial).
+// root each round (wire.MsgPartial2).
 type Partial struct {
 	// LeafID identifies the producing leaf aggregator.
 	LeafID int
@@ -42,8 +42,7 @@ type Partial struct {
 	// Count is how many client updates were folded into Sum.
 	Count int
 
-	// The remaining fields ride the v2 partial frame (wire.MsgPartial2)
-	// and are zero on v1 partials.
+	// The remaining fields carry the subtree's coverage and rows.
 
 	// ExpectWeight is the weight the subtree PLANNED to contribute this
 	// round — the summed weights of its post-sampling cohort, including

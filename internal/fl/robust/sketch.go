@@ -61,12 +61,11 @@ func splitmix64(x uint64) uint64 {
 }
 
 // KeyClient is the priority key of client id's row. Client and leaf keys
-// live in disjoint domains (even/odd pre-images) so a leaf that falls back
-// to an implied-mean row can never tie with a real client row.
+// live in disjoint domains (even/odd pre-images), so the two never tie.
 func KeyClient(id int) uint64 { return splitmix64(2 * uint64(id)) }
 
-// KeyLeaf is the priority key of leaf id's implied-mean fallback row (used
-// when a v1 leaf forwards a plain partial with no sketch).
+// KeyLeaf is leaf id's key. Tree shards mix it into the root's sampling
+// seed so sibling shards draw independent cohorts.
 func KeyLeaf(id int) uint64 { return splitmix64(2*uint64(id) + 1) }
 
 // SampleRankError is the DKW rank-error bound ε for a K-row sketch at

@@ -1,14 +1,53 @@
 package transport
 
 import (
-	"encoding/gob"
+	"bufio"
+	"errors"
+	"io"
+	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/cip-fl/cip/internal/fl"
+	"github.com/cip-fl/cip/internal/fl/compress"
+	"github.com/cip-fl/cip/internal/fl/wire"
+	"github.com/cip-fl/cip/internal/telemetry"
 )
+
+// dialRaw opens a hand-driven frame connection to addr: it sends h and
+// reads the welcome, returning the reader positioned at the first round
+// frame.
+func dialRaw(t *testing.T, addr string, h wire.Hello) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(wire.AppendHelloFrame(nil, h)); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	if _, err := readHandshake(br, wire.MsgWelcome, wire.DecodeWelcome); err != nil {
+		t.Fatal(err)
+	}
+	return conn, br
+}
+
+// readRoundFrame reads and releases one MsgRound frame.
+func readRoundFrame(t *testing.T, r io.Reader) {
+	t.Helper()
+	f, err := wire.ReadFrame(r, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Release()
+	if f.Type != wire.MsgRound {
+		t.Fatalf("got frame type %d, want a round frame", f.Type)
+	}
+}
 
 // TestCoordinatorClientDisconnect: a client that vanishes mid-round must
 // surface as an error from the coordinator, not a hang.
@@ -26,24 +65,9 @@ func TestCoordinatorClientDisconnect(t *testing.T) {
 	}()
 	addr := <-addrCh
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := gob.NewEncoder(conn)
-	if err := enc.Encode(hello{ID: 0, NumSamples: 5}); err != nil {
-		t.Fatal(err)
-	}
-	// Read the welcome and first round message, then drop the connection.
-	dec := gob.NewDecoder(conn)
-	var w welcome
-	if err := dec.Decode(&w); err != nil {
-		t.Fatal(err)
-	}
-	var rm roundMsg
-	if err := dec.Decode(&rm); err != nil {
-		t.Fatal(err)
-	}
+	// Read the welcome and first round frame, then drop the connection.
+	conn, br := dialRaw(t, addr, wire.Hello{ID: 0, NumSamples: 5})
+	readRoundFrame(t, br)
 	conn.Close()
 
 	done := make(chan struct{})
@@ -98,6 +122,105 @@ func TestCoordinatorRejectsGarbageHello(t *testing.T) {
 	}
 	if srvErr == nil {
 		t.Fatal("coordinator should reject a malformed hello")
+	}
+}
+
+// TestCoordinatorRejectsBadHello sends each out-of-range hello over
+// net.Pipe to a fault-tolerant coordinator. The hello decoder must reject
+// it, the coordinator must close that peer without a welcome, and the
+// federation must go on with the honest clients.
+func TestCoordinatorRejectsBadHello(t *testing.T) {
+	cases := []struct {
+		name string
+		h    wire.Hello
+	}{
+		{"negative-id", wire.Hello{ID: -1, NumSamples: 5}},
+		{"negative-samples", wire.Hello{ID: 7, NumSamples: -5}},
+		{"long-token", wire.Hello{ID: 7, NumSamples: 5, Token: strings.Repeat("a", wire.MaxTokenLen+1)}},
+		{"unknown-mode", wire.Hello{ID: 7, NumSamples: 5, Compress: compress.Mode(99)}},
+		{"nan-topk", wire.Hello{ID: 7, NumSamples: 5, Compress: compress.TopK, TopKFrac: math.NaN()}},
+		{"inf-topk", wire.Hello{ID: 7, NumSamples: 5, Compress: compress.TopK, TopKFrac: math.Inf(1)}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			met := NewMetrics(telemetry.NewRegistry())
+			coord := &Coordinator{
+				NumClients: 2, Rounds: 2, Initial: []float64{1},
+				MinQuorum: 1, Metrics: met,
+			}
+			ln := newPipeListener()
+			done := make(chan error, 1)
+			go func() {
+				_, err := coord.RunWithListener(ln, nil)
+				done <- err
+			}()
+			defer ln.Close()
+
+			bad, err := ln.Dial("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := bad.Write(wire.AppendHelloFrame(nil, tc.h)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := bad.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+				t.Fatalf("bad peer read %v, want EOF (closed without a welcome)", err)
+			}
+			bad.Close()
+
+			var wg sync.WaitGroup
+			clientErrs := make([]error, 2)
+			for i := range clientErrs {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					clientErrs[i] = RunClientRetry("pipe", &echoClient{id: i}, RetryConfig{Dial: ln.Dial})
+				}(i)
+			}
+			wg.Wait()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("coordinator should drop only the bad peer: %v", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("coordinator hung after a bad hello")
+			}
+			for i, err := range clientErrs {
+				if err != nil {
+					t.Fatalf("honest client %d: %v", i, err)
+				}
+			}
+			if got := met.DecodeFailures.Value(); got != 1 {
+				t.Fatalf("decode failures = %d, want 1 (the bad hello)", got)
+			}
+			if got := met.ConnsAccepted.Value(); got != 2 {
+				t.Fatalf("accepted %d connections, want the 2 honest clients", got)
+			}
+		})
+	}
+}
+
+// TestDeprecatedCodecAcceptsOnlyBinary: the deprecated Codec fields take
+// "" or "binary"; anything else fails before any connection is made.
+func TestDeprecatedCodecAcceptsOnlyBinary(t *testing.T) {
+	ln := newPipeListener()
+	defer ln.Close()
+	coord := &Coordinator{NumClients: 1, Rounds: 1, Initial: []float64{1}, Codec: "gob"}
+	if _, err := coord.RunWithListener(ln, nil); err == nil {
+		t.Fatal("coordinator accepted Codec \"gob\"")
+	}
+	leaf := &Leaf{Local: Coordinator{NumClients: 1, Initial: []float64{1}}, Retry: RetryConfig{Codec: "gob"}}
+	if _, err := leaf.RunWithListener(ln, nil); err == nil {
+		t.Fatal("leaf accepted Retry.Codec \"gob\"")
+	}
+	dialed := false
+	err := RunClientRetry("pipe", &echoClient{}, RetryConfig{Codec: "gob", Dial: func(string) (net.Conn, error) {
+		dialed = true
+		return nil, errors.New("unreachable")
+	}})
+	if err == nil || dialed {
+		t.Fatalf("client with Codec \"gob\": err = %v, dialed = %v; want an error before dialing", err, dialed)
 	}
 }
 

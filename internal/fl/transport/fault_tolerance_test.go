@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/gob"
 	"math/rand"
 	"net"
 	"sync"
@@ -9,7 +8,9 @@ import (
 	"time"
 
 	"github.com/cip-fl/cip/internal/fl"
+	"github.com/cip-fl/cip/internal/fl/compress"
 	"github.com/cip-fl/cip/internal/fl/faults"
+	"github.com/cip-fl/cip/internal/fl/wire"
 )
 
 // echoClient returns the global parameters unchanged — a cheap stand-in
@@ -189,29 +190,15 @@ func TestCoordinatorBoundsUpdateSize(t *testing.T) {
 	}
 	addr, wait := startCoordinator(t, coord)
 
-	conn, err := net.Dial("tcp", addr)
+	conn, br := dialRaw(t, addr, wire.Hello{ID: 0, NumSamples: 5})
+	defer conn.Close()
+	readRoundFrame(t, br)
+	huge := fl.Update{Params: make([]float64, 1<<16), NumSamples: 5}
+	frame, err := wire.AppendUpdateFrame(nil, huge, nil, compress.None)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(hello{ID: 0, NumSamples: 5}); err != nil {
-		t.Fatal(err)
-	}
-	var w welcome
-	if err := dec.Decode(&w); err != nil {
-		t.Fatal(err)
-	}
-	var rm roundMsg
-	if err := dec.Decode(&rm); err != nil {
-		t.Fatal(err)
-	}
-	huge := fl.Update{Params: make([]float64, 1<<16), NumSamples: 5}
-	for i := range huge.Params {
-		huge.Params[i] = float64(i) // defeat trivial encoding of zeros
-	}
-	enc.Encode(updateMsg{U: huge}) //nolint:errcheck // server may hang up mid-write
+	conn.Write(frame) //nolint:errcheck // server may hang up mid-write
 	if _, err := wait(); err == nil {
 		t.Fatal("coordinator accepted an update past the byte bound")
 	}
@@ -277,10 +264,9 @@ func TestRunClientRetryGivesUp(t *testing.T) {
 // TestFlakyConnDropIsToleratedByQuorum: a client whose connection dies
 // mid-federation (byte-budget fault injection) is dropped; the rest finish.
 func TestFlakyConnDropIsToleratedByQuorum(t *testing.T) {
-	// Irrational parameter values defeat gob's compact float encoding, so
-	// each round moves ~9 bytes per parameter and the byte budget below
-	// reliably expires mid-federation (after the handshake, during round 1
-	// or 2 of 6).
+	// Each round moves 8 bytes per parameter both ways, so the byte
+	// budget below reliably expires mid-federation (after the handshake,
+	// within the first rounds of 6).
 	initial := make([]float64, 64)
 	rng := rand.New(rand.NewSource(8))
 	for i := range initial {

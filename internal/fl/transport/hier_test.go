@@ -66,14 +66,14 @@ func TestTreeMatchesFlatFederation(t *testing.T) {
 
 	flat := &Coordinator{
 		NumClients: leaves * perLeaf, Rounds: rounds,
-		Initial: append([]float64(nil), initial...), Codec: "binary",
+		Initial: append([]float64(nil), initial...),
 	}
 	want, _ := runVecFederation(t, flat, leaves*perLeaf)
 
 	root := &Coordinator{
 		NumClients: leaves, Rounds: rounds,
-		Initial: append([]float64(nil), initial...),
-		Codec:   "binary", AcceptPartials: true,
+		Initial:        append([]float64(nil), initial...),
+		AcceptPartials: true,
 	}
 	rootAddr, rootWait := startCoordinator(t, root)
 
@@ -127,9 +127,9 @@ func TestTreeSurvivesLeafCrashAndRestart(t *testing.T) {
 
 	root := &Coordinator{
 		NumClients: leaves, Rounds: rounds,
-		Initial: append([]float64(nil), initial...),
-		Codec:   "binary", AcceptPartials: true,
-		MinQuorum: leaves - 1, RoundTimeout: 2 * time.Second,
+		Initial:        append([]float64(nil), initial...),
+		AcceptPartials: true,
+		MinQuorum:      leaves - 1, RoundTimeout: 2 * time.Second,
 		AcceptRejoins: true,
 	}
 	var rootAddr string
@@ -232,7 +232,7 @@ func TestTreeFederationAccuracy(t *testing.T) {
 	treeClients, initial2, _ := buildClients(t, k)
 	root := &Coordinator{
 		NumClients: leaves, Rounds: rounds,
-		Initial: initial2, Codec: "binary", AcceptPartials: true,
+		Initial: initial2, AcceptPartials: true,
 	}
 	rootAddr, rootWait := startCoordinator(t, root)
 	waits := make([]func() error, leaves)

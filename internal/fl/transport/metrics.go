@@ -13,10 +13,10 @@ type Metrics struct {
 	// (after a valid, non-duplicate hello).
 	ConnsAccepted *telemetry.Counter // transport_conns_accepted_total
 	// DecodeBytes counts inbound bytes consumed through the byte-budgeted
-	// gob decode path (hellos and updates).
+	// frame reader (hellos, updates and partials).
 	DecodeBytes *telemetry.Counter // transport_decode_bytes_total
-	// DecodeFailures counts gob decode errors on inbound messages,
-	// including budget overruns.
+	// DecodeFailures counts frame read and decode errors on inbound
+	// messages, including budget overruns.
 	DecodeFailures *telemetry.Counter // transport_decode_failures_total
 	// RetryAttempts counts client dial/handshake retries (attempts beyond
 	// each session's first).
@@ -27,16 +27,12 @@ type Metrics struct {
 	// Rejoins counts clients readmitted into a resumed federation with a
 	// valid session token after a coordinator restart.
 	Rejoins *telemetry.Counter // transport_rejoins_total
-	// TxBytes counts outbound bytes written to clients (round broadcasts
-	// and done frames, both codecs).
+	// TxBytes counts outbound bytes written to clients (welcomes, round
+	// broadcasts and done frames).
 	TxBytes *telemetry.Counter // transport_tx_bytes_total
 	// RoundBytes is the total wire bytes (rx + tx) of the most recent
 	// round — the quantity the compression work drives down.
 	RoundBytes *telemetry.Gauge // transport_round_bytes
-	// CodecBinary and CodecGob count roster connections by the codec the
-	// welcome handshake settled on.
-	CodecBinary *telemetry.Counter // transport_codec_binary_total
-	CodecGob    *telemetry.Counter // transport_codec_gob_total
 	// CompressedUpdates counts updates received in a compressed (top-k /
 	// quantized) wire shape.
 	CompressedUpdates *telemetry.Counter // transport_compressed_updates_total
@@ -59,9 +55,9 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		ConnsAccepted: reg.Counter("transport_conns_accepted_total",
 			"Client connections accepted into the roster."),
 		DecodeBytes: reg.Counter("transport_decode_bytes_total",
-			"Inbound bytes consumed by the byte-budgeted gob decoder."),
+			"Inbound bytes consumed by the byte-budgeted frame reader."),
 		DecodeFailures: reg.Counter("transport_decode_failures_total",
-			"Gob decode errors on inbound messages, including budget overruns."),
+			"Frame read and decode errors on inbound messages, including budget overruns."),
 		RetryAttempts: reg.Counter("transport_retry_attempts_total",
 			"Client dial/handshake retries beyond the first attempt."),
 		StragglersDropped: reg.Counter("transport_stragglers_dropped_total",
@@ -72,27 +68,12 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 			"Outbound bytes written to clients."),
 		RoundBytes: reg.Gauge("transport_round_bytes",
 			"Total wire bytes (rx + tx) of the most recent round."),
-		CodecBinary: reg.Counter("transport_codec_binary_total",
-			"Roster connections negotiated onto the binary codec."),
-		CodecGob: reg.Counter("transport_codec_gob_total",
-			"Roster connections kept on the legacy gob codec."),
 		CompressedUpdates: reg.Counter("transport_compressed_updates_total",
 			"Updates received in a compressed wire shape."),
 		InflightUpdates: reg.Gauge("transport_inflight_updates",
 			"Client exchanges currently admitted into the streaming fold window."),
 		Partials: reg.Counter("transport_partials_total",
 			"Leaf partials accepted into root aggregates."),
-	}
-}
-
-func (m *Metrics) codecNegotiated(binary bool) {
-	if m == nil {
-		return
-	}
-	if binary {
-		m.CodecBinary.Inc()
-	} else {
-		m.CodecGob.Inc()
 	}
 }
 

@@ -65,14 +65,10 @@ type session struct {
 	// directive (MsgRound2): the sampling fraction and seed client-facing
 	// shards apply, and the row-reservoir capacity partials carry. A root
 	// sources the directive from its own configuration; leaves overwrite
-	// these from each round frame (zeroed again on v1 round frames).
+	// these from each round frame.
 	treeFrac  float64
 	treeSeed  int64
 	sketchCap int
-	// degradeOK marks a leaf whose parent speaks partial v2: losing local
-	// quorum with at least one valid update forwards a degraded partial
-	// (coverage metadata intact) instead of failing the subtree.
-	degradeOK bool
 	// plannedWeight/coveredWeight accumulate one round's planned versus
 	// delivered cohort weight; their ratio is the round's coverage.
 	plannedWeight, coveredWeight float64
@@ -113,13 +109,11 @@ func (c *Coordinator) streamingAccumulator() (fl.Accumulator, bool) {
 // touching the network stack. The listener is closed before returning
 // when the rejoin accept loop owns it.
 func (c *Coordinator) RunWithListener(ln net.Listener, ready func(boundAddr string)) ([]float64, error) {
-	if c.AcceptPartials {
-		if c.BufferRounds || len(c.Observers) > 0 || c.Reputation != nil {
-			return nil, errors.New("transport: partial aggregation supports no observers, reputation, or forced buffering")
-		}
-		if c.Codec != wire.CodecBinary {
-			return nil, errors.New("transport: partial aggregation requires the binary codec")
-		}
+	if err := checkCodec(c.Codec); err != nil {
+		return nil, err
+	}
+	if c.AcceptPartials && (c.BufferRounds || len(c.Observers) > 0 || c.Reputation != nil) {
+		return nil, errors.New("transport: partial aggregation supports no observers, reputation, or forced buffering")
 	}
 	global := make([]float64, len(c.Initial))
 	copy(global, c.Initial)
@@ -207,7 +201,7 @@ func (c *Coordinator) RunWithListener(ln net.Listener, ready func(boundAddr stri
 	if ready != nil {
 		ready(ln.Addr().String())
 	}
-	active, err := c.acceptClients(ln, welcome{
+	active, err := c.acceptClients(ln, wire.Welcome{
 		Token: token, NextRound: startRound, Resumed: s.resumed,
 	}, &s.rxTally, &s.txTally)
 	if err != nil {
@@ -284,12 +278,7 @@ func (s *session) sendDone() error {
 		if c.RoundTimeout > 0 {
 			cc.conn.SetWriteDeadline(time.Now().Add(c.RoundTimeout)) //nolint:errcheck
 		}
-		var err error
-		if cc.binary {
-			_, err = cc.w.Write(wire.AppendDoneFrame(nil))
-		} else {
-			err = cc.enc.Encode(roundMsg{Done: true})
-		}
+		_, err := cc.w.Write(wire.AppendDoneFrame(nil))
 		if err != nil && !c.faultTolerant() {
 			return fmt.Errorf("transport: sending done to client %d: %w", cc.id, err)
 		}
@@ -339,8 +328,8 @@ func (s *session) admitPending(round int) {
 		return
 	}
 	for _, cc := range pend {
-		w := s.c.welcomeFor(cc, welcome{Token: s.token, NextRound: round, Resumed: s.resumed})
-		if err := cc.enc.Encode(w); err != nil {
+		w := wire.Welcome{Token: s.token, NextRound: round, Resumed: s.resumed}
+		if err := cc.sendWelcome(w); err != nil {
 			cc.conn.Close()
 			continue
 		}
@@ -360,7 +349,6 @@ func (s *session) admitPending(round int) {
 			s.c.Metrics.rejoin()
 		}
 		s.c.Metrics.connAccepted()
-		s.c.Metrics.codecNegotiated(cc.binary)
 	}
 	sort.Slice(s.active, func(i, j int) bool { return s.active[i].id < s.active[j].id })
 }
@@ -446,7 +434,7 @@ func (s *session) effectiveSample() (frac float64, seed int64) {
 }
 
 // distSample is the sampling directive a tree parent broadcasts to its
-// partial-v2 children this round: the root's own configuration, relayed
+// child aggregators this round: the root's own configuration, relayed
 // unchanged by interior nodes so the whole tree acts on one directive.
 func (s *session) distSample() (frac float64, seed int64) {
 	if s.wantPartial {
@@ -484,10 +472,9 @@ func (s *session) tallyUpdate(u fl.Update) {
 
 // tallyPartial credits one accepted child partial: planned weight is the
 // child's own expectation (falling back to its delivered weight when the
-// child predates coverage metadata), delivered weight is what arrived.
-// Child reservoirs merge into the local one; a sketchless (v1) child
-// contributes its implied mean as a single leaf-keyed row, so robust
-// rules still see every subtree.
+// child sent none), delivered weight is what arrived. Child reservoirs
+// merge into the local one; when this round carries a reservoir, a child
+// without one broke the directive the round frame sent it.
 func (s *session) tallyPartial(p fl.Partial) error {
 	expect := p.ExpectWeight
 	if expect <= 0 {
@@ -498,21 +485,15 @@ func (s *session) tallyPartial(p fl.Partial) error {
 	if s.sketch == nil {
 		return nil
 	}
-	if p.Sketch != nil {
-		return s.sketch.Merge(p.Sketch)
+	if p.Sketch == nil {
+		return errInvalid{fmt.Errorf("fl: leaf %d sent no row sketch for a sketch-carrying round", p.LeafID)}
 	}
-	row := make([]float64, len(p.Sum))
-	for i, v := range p.Sum {
-		row[i] = v / p.Weight
-	}
-	s.sketch.Add(robust.KeyLeaf(p.LeafID), row)
-	return nil
+	return s.sketch.Merge(p.Sketch)
 }
 
-// stampPartial finishes the round's outgoing partial with the v2
-// extension fields: the planned (pre-failure) cohort weight, the
-// degradation flag, and the round's row reservoir. A v1 parent link
-// simply never encodes them.
+// stampPartial finishes the round's outgoing partial with its coverage
+// fields: the planned (pre-failure) cohort weight, the degradation flag,
+// and the round's row reservoir.
 func (s *session) stampPartial(degraded bool) {
 	s.partial.ExpectWeight = s.plannedWeight
 	s.partial.Degraded = degraded
@@ -563,37 +544,24 @@ func (s *session) runRound(round int) error {
 		budget = c.partialBudget(distCap)
 	}
 	rc := &roundCtx{
-		round: round, durable: s.durable, global: s.global,
+		round: round, global: s.global,
 		timeout: c.RoundTimeout, budget: budget,
 		maxNorm: c.MaxUpdateNorm, met: c.Metrics,
 	}
+	// Every roster connection of a tree parent is a child aggregator
+	// (handshake enforces it), so one broadcast frame serves the round.
 	if c.AcceptPartials {
 		frac, seed := s.distSample()
-		rc.r2 = wire.Round2{SampleFrac: frac, SampleSeed: seed, SketchCap: distCap}
-	}
-	var wantV1, wantV2 bool
-	for _, cc := range cohort {
-		if !cc.binary {
-			continue
-		}
-		if cc.partialV >= 2 {
-			wantV2 = true
-		} else {
-			wantV1 = true
-		}
-	}
-	if wantV1 {
+		buf := wire.GetBuffer(wire.HeaderLen + wire.Round2PayloadLen(len(s.global)))[:0]
+		rc.bcast = wire.AppendRound2Frame(buf, wire.Round2{
+			Round: round, Durable: s.durable, SampleFrac: frac, SampleSeed: seed,
+			SketchCap: distCap, Params: s.global,
+		})
+	} else {
 		buf := wire.GetBuffer(wire.HeaderLen + wire.RoundPayloadLen(len(s.global)))[:0]
 		rc.bcast = wire.AppendRoundFrame(buf, round, s.durable, s.global)
-		defer wire.PutBuffer(rc.bcast)
 	}
-	if wantV2 {
-		r2 := rc.r2
-		r2.Round, r2.Durable, r2.Params = round, s.durable, s.global
-		buf := wire.GetBuffer(wire.HeaderLen + wire.Round2PayloadLen(len(s.global)))[:0]
-		rc.bcast2 = wire.AppendRound2Frame(buf, r2)
-		defer wire.PutBuffer(rc.bcast2)
-	}
+	defer wire.PutBuffer(rc.bcast)
 
 	var (
 		survivors []*clientConn
@@ -627,13 +595,13 @@ func (s *session) runRound(round int) error {
 	sort.Slice(s.active, func(i, j int) bool { return s.active[i].id < s.active[j].id })
 	degraded := false
 	if nValid < c.quorum() {
-		if !(s.wantPartial && s.degradeOK && nValid >= 1) {
+		if !(s.wantPartial && nValid >= 1) {
 			return fmt.Errorf("transport: round %d: quorum lost: %d valid updates, need %d",
 				round, nValid, c.quorum())
 		}
-		// Graceful degradation: the parent speaks partial v2, so a
-		// below-quorum shard forwards what it has — flagged Degraded, its
-		// planned weight intact — instead of stalling or leaving the tree.
+		// Graceful degradation: a below-quorum tree node forwards what it
+		// has — flagged Degraded, its planned weight intact — instead of
+		// stalling or leaving the tree.
 		degraded = true
 	}
 	coverage := 1.0

@@ -68,7 +68,6 @@ func TestStreamingMatchesBufferedBitExact(t *testing.T) {
 		return &Coordinator{
 			NumClients: n, Rounds: 3,
 			Initial: []float64{0.5, -1.25, 3, 0.0625},
-			Codec:   "binary",
 		}
 	}
 	base := mk()

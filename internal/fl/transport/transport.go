@@ -4,26 +4,19 @@
 // this package demonstrates and tests the distributed deployment path on
 // the loopback interface.
 //
-// Protocol (synchronous, one stream per client). The handshake is always
-// gob; the welcome settles which codec the rest of the session speaks:
+// Protocol (synchronous, one stream per client, internal/fl/wire frames
+// from hello to done):
 //
-//	client → server: hello{ID, NumSamples, Token, Codec, Compress, TopKFrac}
-//	server → client: welcome{Token, NextRound, Resumed, Codec, Compress, TopKFrac}
-//	repeat for each round (gob sessions):
-//	    server → client: roundMsg{Round, Params, Durable}
-//	    client → server: updateMsg{Update}
-//	server → client: roundMsg{Done: true}
-//	repeat for each round (binary sessions — internal/fl/wire frames):
-//	    server → client: MsgRound frame
-//	    client → server: MsgUpdate frame (possibly top-k/quantized delta)
-//	server → client: MsgDone frame
+//	client → server: MsgHello{ID, NumSamples, Token, Compress, TopKFrac}
+//	server → client: MsgWelcome{Token, NextRound, Resumed, Compress, TopKFrac}
+//	repeat for each round:
+//	    server → client: MsgRound
+//	    client → server: MsgUpdate (possibly a top-k/quantized delta)
+//	server → client: MsgDone
 //
-// Codec negotiation. A client offers Codec "binary" (and optionally a
-// compression mode) in its hello; a coordinator configured with Codec
-// "binary" accepts the offer and echoes the settled values in the
-// welcome. Either side omitting the offer keeps the session on gob —
-// old clients interoperate with new coordinators and vice versa, because
-// gob ignores unknown fields in both directions. Compressed updates are
+// Child aggregators of a tree set Partial in the hello and exchange
+// MsgRound2 and MsgPartial2 instead (see Leaf). The welcome echoes the
+// compression offer the coordinator accepted. Compressed updates are
 // deltas against the broadcast global with client-side error feedback:
 // the client accumulates what each lossy round dropped and folds it into
 // the next round's delta, so the federation converges to the dense
@@ -49,15 +42,15 @@
 // from the roster and the round aggregates over the survivors, erroring
 // only when fewer than MinQuorum valid updates remain. AcceptWindow bounds
 // the initial roster wait so a federation can start with a partial roster
-// of at least MinQuorum clients. All inbound gob messages are
-// byte-bounded against the expected model size, so a misbehaving peer
-// cannot make the coordinator allocate unbounded memory.
+// of at least MinQuorum clients. Every inbound frame is byte-bounded
+// (hellos by a fixed 4 KiB, updates against the expected model size), so
+// a misbehaving peer cannot make the coordinator allocate unbounded
+// memory.
 package transport
 
 import (
 	"bufio"
 	crand "crypto/rand"
-	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -76,92 +69,17 @@ import (
 	"github.com/cip-fl/cip/internal/telemetry"
 )
 
-type hello struct {
-	ID         int
-	NumSamples int
-	// Token is the session token from a previous connection; empty on a
-	// client's first contact. A coordinator resumed from a snapshot uses it
-	// to recognize returning participants.
-	Token string
-	// Codec offers a wire codec for the session ("binary"); empty or
-	// "gob" keeps the legacy gob stream. Old coordinators never see the
-	// field (gob drops it), so the offer degrades to gob automatically.
-	Codec string
-	// Compress offers an update-compression mode (compress.ParseMode
-	// names); meaningful only with a binary codec offer.
-	Compress string
-	// TopKFrac is the offered top-k fraction for sparse modes (0 means
-	// the default).
-	TopKFrac float64
-	// Partial offers the hierarchical partial-aggregation protocol: the
-	// peer is a leaf aggregator that answers each round frame with a
-	// MsgPartial (pre-division weighted sums) instead of a MsgUpdate.
-	// Requires the binary codec. Old coordinators never see the field
-	// (gob drops it) and answer with a welcome that lacks the
-	// confirmation, so a leaf dialing a non-root fails loudly instead of
-	// being silently treated as a plain client.
-	Partial bool
-	// PartialV offers a partial-protocol version alongside Partial: 2
-	// adds coverage metadata, graceful degradation, robust sketches, and
-	// the MsgRound2 broadcast. 0 (old leaves — gob drops the field) and 1
-	// both mean the original MsgPartial exchange. The coordinator answers
-	// with the settled version, never above the offer.
-	PartialV int
-}
-
-// welcome is the coordinator's response to a valid hello.
-type welcome struct {
-	// Token identifies this federation session across coordinator
-	// restarts; empty when the coordinator is not checkpointing.
-	Token string
-	// NextRound is the first round the coordinator will run with this
-	// client — 0 on a fresh federation, the resume round after a restart.
-	NextRound int
-	// Resumed reports whether the coordinator restored from a snapshot.
-	Resumed bool
-	// Codec is the codec the coordinator settled on for this session:
-	// "binary" iff both sides offered it; empty means gob. Old
-	// coordinators leave it absent, which decodes as empty — gob.
-	Codec string
-	// Compress and TopKFrac echo the accepted compression config (empty
-	// mode when the session is uncompressed).
-	Compress string
-	TopKFrac float64
-	// Partial confirms the partial-aggregation protocol: this coordinator
-	// is a root that will read MsgPartial answers from the peer.
-	Partial bool
-	// PartialV is the settled partial-protocol version (≤ the hello's
-	// offer; 0 decodes as 1 for old roots, keeping new leaves on the v1
-	// exchange against them).
-	PartialV int
-}
-
-type roundMsg struct {
-	Round  int
-	Params []float64
-	Done   bool
-	// Durable is the highest round index covered by a durable snapshot
-	// (-1 when nothing is durable yet). Clients may discard rollback
-	// captures for rounds at or below it, keeping only what a restarted
-	// coordinator could still rewind to.
-	Durable int
-}
-
-type updateMsg struct {
-	U fl.Update
-}
-
-// maxHelloBytes bounds the gob-encoded size of the handshake message; a
-// hello is two ints, so 4 KiB is generous.
+// maxHelloBytes bounds a handshake frame (header included); a hello is a
+// few fields and a ≤64-byte token, so 4 KiB is generous.
 const maxHelloBytes = 4 << 10
 
 // errMsgTooLarge is surfaced by budgetReader when a peer's message exceeds
 // the size bound derived from the model.
 var errMsgTooLarge = errors.New("transport: message exceeds size bound")
 
-// budgetReader enforces a per-message byte allowance on a gob stream: the
-// coordinator refreshes the allowance before each expected message, so a
-// misbehaving peer cannot stream an arbitrarily large value into the
+// budgetReader enforces a per-message byte allowance on a frame stream:
+// the coordinator refreshes the allowance before each expected frame, so
+// a misbehaving peer cannot stream an arbitrarily large value into the
 // decoder. The optional bytes counter feeds transport_decode_bytes_total.
 type budgetReader struct {
 	r     io.Reader
@@ -239,10 +157,10 @@ type Coordinator struct {
 	// MaxUpdateBytes bounds the encoded size of one client update; 0
 	// derives a generous bound from len(Initial).
 	MaxUpdateBytes int64
-	// Codec, when "binary", accepts per-client binary-codec offers from
-	// the welcome handshake (internal/fl/wire frames, optionally with
-	// top-k/quantized update compression). Empty or "gob" answers every
-	// offer with gob, which every client speaks.
+	// Codec is accepted for compatibility and must be "" or "binary";
+	// any other value fails at start.
+	//
+	// Deprecated: the wire frame is the only protocol.
 	Codec string
 	// MaxUpdateNorm, when > 0, rejects updates whose L2 norm exceeds it
 	// (counted as validation rejections). 0 disables the bound.
@@ -290,13 +208,12 @@ type Coordinator struct {
 	SampleSeed int64
 	// AcceptPartials runs the coordinator as an aggregation-tree parent:
 	// every roster connection must be a child aggregator (hello with
-	// Partial over the binary codec), each round reads one partial per
-	// child, and the global advances by the weighted mean of the
-	// children's pre-division sums — or, when Robust is set, by the
-	// robust rule evaluated over the children's merged row sketches.
-	// Requires Codec "binary" and no observers, reputation, or forced
-	// buffering. Children may themselves be AcceptPartials coordinators
-	// (interior nodes), making the tree arbitrary-depth.
+	// Partial), each round reads one partial per child, and the global
+	// advances by the weighted mean of the children's pre-division sums —
+	// or, when Robust is set, by the robust rule evaluated over the
+	// children's merged row sketches. Requires no observers, reputation,
+	// or forced buffering. Children may themselves be AcceptPartials
+	// coordinators (interior nodes), making the tree arbitrary-depth.
 	AcceptPartials bool
 	// CoverageFloor, when in (0, 1], aborts a round whose coverage — the
 	// fraction of the planned cohort weight that actually reached the
@@ -368,8 +285,8 @@ func (c *Coordinator) updateBudget() int64 {
 	if c.MaxUpdateBytes > 0 {
 		return c.MaxUpdateBytes
 	}
-	// gob encodes a float64 in at most 9 bytes; 16×params plus slack
-	// admits any honest update with a wide margin.
+	// A dense update frame carries 8 bytes per parameter; 16×params plus
+	// slack admits any honest update with a wide margin.
 	return 64<<10 + 16*int64(len(c.Initial))
 }
 
@@ -385,7 +302,7 @@ func (c *Coordinator) partialBudget(sketchCap int) int64 {
 }
 
 // treeSketchCap is the row-reservoir capacity this parent distributes to
-// its partial-v2 children: the configured TreeSketchCap, defaulting to 64
+// its child aggregators: the configured TreeSketchCap, defaulting to 64
 // when a robust rule needs rows at all, and 0 (no sketches) for
 // mean-family trees.
 func (c *Coordinator) treeSketchCap() int {
@@ -404,26 +321,16 @@ func (c *Coordinator) treeSketchCap() int {
 type clientConn struct {
 	id      int
 	samples int
-	enc     *gob.Encoder
-	dec     *gob.Decoder
 	lim     *budgetReader
-	// br is the single buffered reader over lim shared by the gob
-	// handshake and the binary frame path. Gob decoders buffer their
-	// input, so the frame reader MUST go through the same buffer — raw
-	// reads on lim would miss any bytes gob read ahead.
-	br   *bufio.Reader
-	w    *countWriter
-	conn net.Conn
-	// binary marks a session negotiated onto the wire-frame codec; cfg is
-	// its accepted compression config (Mode None when uncompressed).
-	binary bool
-	cfg    compress.Config
-	// partial marks a leaf-aggregator session: rounds exchange MsgPartial
-	// frames instead of updates. partialV is the settled protocol version
-	// (1 or 2); v2 children receive MsgRound2 broadcasts and may answer
-	// with MsgPartial2 (coverage metadata + sketch).
-	partial  bool
-	partialV int
+	br      *bufio.Reader
+	w       *countWriter
+	conn    net.Conn
+	// cfg is the accepted compression config (Mode None when
+	// uncompressed).
+	cfg compress.Config
+	// partial marks a child-aggregator session: rounds exchange MsgRound2
+	// and MsgPartial2 frames instead of MsgRound and MsgUpdate.
+	partial bool
 	// hadToken records whether the hello carried a session token (feeds
 	// the rejoin counter on resumed federations).
 	hadToken bool
@@ -440,40 +347,15 @@ func newConnReader(r io.Reader, size int) *bufio.Reader {
 	return bufio.NewReader(r)
 }
 
-// decodeUpdate is the byte-budgeted inbound path for one client update:
-// refresh the reader's allowance, gob-decode, stamp the authoritative
+// decodeUpdateFrame is the byte-budgeted inbound path for one client
+// update: read one frame under the byte budget, structurally decode it,
+// densify any compressed shape against the broadcast global (which
+// performs the semantic sparse-index validation), stamp the authoritative
 // client ID (clients cannot impersonate others in the per-round observer
-// view), and validate against the expected parameter length. It must
-// never panic on hostile bytes — only return an error (fuzzed by
-// FuzzDecodeUpdate).
-func decodeUpdate(dec *gob.Decoder, lim *budgetReader, budget int64,
-	clientID, wantLen int, maxNorm float64) (fl.Update, error) {
-	lim.allow(budget)
-	var um updateMsg
-	if err := dec.Decode(&um); err != nil {
-		return fl.Update{}, err
-	}
-	um.U.ClientID = clientID
-	if um.U.Sparse() {
-		// The gob protocol is dense-only; sparse shapes arrive exclusively
-		// through negotiated binary frames. A gob client poking the new
-		// Update fields costs itself the round, not the federation.
-		return fl.Update{}, errInvalid{fmt.Errorf(
-			"fl: client %d sent a sparse/delta update over the gob protocol", clientID)}
-	}
-	if err := fl.ValidateUpdateBounded(um.U, wantLen, maxNorm); err != nil {
-		return fl.Update{}, errInvalid{err}
-	}
-	return um.U, nil
-}
-
-// decodeUpdateFrame is decodeUpdate's binary twin: read one frame under
-// the byte budget, structurally decode it, densify any compressed shape
-// against the broadcast global (which performs the semantic sparse-index
-// validation), stamp the authoritative client ID, and validate. Hostile
-// bytes can only produce an error — wire.ReadFrame checks declared
-// lengths against the budget before allocating and wire.DecodeUpdate runs
-// under a panic guard (fuzzed by FuzzDecodeFrame).
+// view), and validate. Hostile bytes can only produce an error —
+// wire.ReadFrame checks declared lengths against the budget before
+// allocating and wire.DecodeUpdate runs under a panic guard (fuzzed by
+// FuzzDecodeFrame).
 func decodeUpdateFrame(r io.Reader, lim *budgetReader, budget int64, accepted compress.Mode,
 	clientID int, global []float64, maxNorm float64) (fl.Update, compress.Mode, error) {
 	lim.allow(wire.HeaderLen + budget)
@@ -494,7 +376,7 @@ func decodeUpdateFrame(r io.Reader, lim *budgetReader, budget int64, accepted co
 	// switch to a mode the handshake did not accept.
 	if f.Mode != accepted && f.Mode != compress.None {
 		return fl.Update{}, f.Mode, errInvalid{fmt.Errorf(
-			"wire: client %d sent mode %s, negotiated %s", clientID, f.Mode, accepted)}
+			"wire: client %d sent mode %s, accepted %s", clientID, f.Mode, accepted)}
 	}
 	u, err := wire.DecodeUpdate(f.Mode, f.Payload)
 	if err != nil {
@@ -510,84 +392,36 @@ func decodeUpdateFrame(r io.Reader, lim *budgetReader, budget int64, accepted co
 	return u, f.Mode, nil
 }
 
-// roundCtx carries one round's shared exchange parameters. bcast, when
-// non-nil, is the pre-encoded MsgRound frame shared read-only by every
-// binary connection — the per-round encoding cost is paid once, not per
-// client. bcast2 is its MsgRound2 twin for partial-v2 children, carrying
-// the root-coordinated sample directive and sketch capacity (r2 holds the
-// decoded form for the per-connection fallback encode).
+// roundCtx carries one round's shared exchange parameters. bcast is the
+// pre-encoded round frame shared read-only by every connection — MsgRound
+// for clients, MsgRound2 for child aggregators — so the per-round encoding
+// cost is paid once, not per client.
 type roundCtx struct {
 	round   int
-	durable int
 	global  []float64
 	bcast   []byte
-	bcast2  []byte
-	r2      wire.Round2
 	timeout time.Duration
 	budget  int64
 	maxNorm float64
 	met     *Metrics
 }
 
-// exchange runs one round against one client: send the globals, wait for
-// the update, validate it. RoundTimeout (when set) covers the whole
-// exchange through connection deadlines.
+// sendRound writes the round's broadcast frame to one connection.
+func (cc *clientConn) sendRound(rc *roundCtx) error {
+	if _, err := cc.w.Write(rc.bcast); err != nil {
+		return fmt.Errorf("transport: sending round %d to client %d: %w", rc.round, cc.id, err)
+	}
+	return nil
+}
+
+// exchange runs one round against one client: send the round frame, wait
+// for the (possibly compressed) update, validate it. RoundTimeout (when
+// set) covers the whole exchange through connection deadlines.
 func (cc *clientConn) exchange(rc *roundCtx, out *fl.Update) error {
 	if rc.timeout > 0 {
 		cc.conn.SetDeadline(time.Now().Add(rc.timeout)) //nolint:errcheck
 		defer cc.conn.SetDeadline(time.Time{})          //nolint:errcheck
 	}
-	if cc.binary {
-		return cc.exchangeBinary(rc, out)
-	}
-	if err := cc.enc.Encode(roundMsg{Round: rc.round, Params: rc.global, Durable: rc.durable}); err != nil {
-		return fmt.Errorf("transport: sending round %d to client %d: %w", rc.round, cc.id, err)
-	}
-	u, err := decodeUpdate(cc.dec, cc.lim, rc.budget, cc.id, len(rc.global), rc.maxNorm)
-	if err != nil {
-		if !errors.As(err, &errInvalid{}) {
-			rc.met.decodeFailure()
-			return fmt.Errorf("transport: reading update from client %d: %w", cc.id, err)
-		}
-		return fmt.Errorf("transport: round %d: %w", rc.round, err)
-	}
-	*out = u
-	return nil
-}
-
-// sendRound writes the round frame for a binary session, preferring the
-// round's shared broadcast bytes over a per-connection encode. Partial-v2
-// children get the MsgRound2 broadcast (sampling directive + sketch cap);
-// everyone else gets the v1 MsgRound.
-func (cc *clientConn) sendRound(rc *roundCtx) error {
-	buf := rc.bcast
-	var pooled []byte
-	if cc.partialV >= 2 {
-		if buf = rc.bcast2; buf == nil {
-			r2 := rc.r2
-			r2.Round, r2.Durable, r2.Params = rc.round, rc.durable, rc.global
-			pooled = wire.GetBuffer(wire.HeaderLen + wire.Round2PayloadLen(len(rc.global)))[:0]
-			pooled = wire.AppendRound2Frame(pooled, r2)
-			buf = pooled
-		}
-	} else if buf == nil {
-		pooled = wire.GetBuffer(wire.HeaderLen + wire.RoundPayloadLen(len(rc.global)))[:0]
-		pooled = wire.AppendRoundFrame(pooled, rc.round, rc.durable, rc.global)
-		buf = pooled
-	}
-	_, err := cc.w.Write(buf)
-	if pooled != nil {
-		wire.PutBuffer(pooled)
-	}
-	if err != nil {
-		return fmt.Errorf("transport: sending round %d to client %d: %w", rc.round, cc.id, err)
-	}
-	return nil
-}
-
-// exchangeBinary is exchange over wire frames: broadcast the MsgRound
-// frame, then decode the (possibly compressed) update.
-func (cc *clientConn) exchangeBinary(rc *roundCtx, out *fl.Update) error {
 	if err := cc.sendRound(rc); err != nil {
 		return err
 	}
@@ -606,8 +440,8 @@ func (cc *clientConn) exchangeBinary(rc *roundCtx, out *fl.Update) error {
 	return nil
 }
 
-// exchangePartial is the root side of one leaf exchange: broadcast the
-// round frame, then read the MsgPartial carrying the leaf's pre-division
+// exchangePartial is the parent side of one child exchange: broadcast the
+// round frame, then read the MsgPartial2 carrying the child's pre-division
 // weighted sums, structurally decoded and semantically validated (round
 // match, weight/count positivity, finiteness, implied-mean norm bound).
 func (cc *clientConn) exchangePartial(rc *roundCtx, out *fl.Partial) error {
@@ -629,16 +463,11 @@ func (cc *clientConn) exchangePartial(rc *roundCtx, out *fl.Partial) error {
 		return fmt.Errorf("transport: reading partial from leaf %d: %w", cc.id, err)
 	}
 	defer f.Release()
-	var p fl.Partial
-	switch {
-	case f.Type == wire.MsgPartial:
-		p, err = wire.DecodePartial(f.Payload)
-	case f.Type == wire.MsgPartial2 && cc.partialV >= 2:
-		p, err = wire.DecodePartial2(f.Payload)
-	default:
+	if f.Type != wire.MsgPartial2 {
 		return fmt.Errorf("transport: round %d: %w", rc.round,
-			errInvalid{fmt.Errorf("wire: expected partial frame, got type %d (v%d session)", f.Type, cc.partialV)})
+			errInvalid{fmt.Errorf("wire: expected partial frame, got type %d", f.Type)})
 	}
+	p, err := wire.DecodePartial2(f.Payload)
 	if err != nil {
 		return fmt.Errorf("transport: round %d: %w", rc.round, errInvalid{err})
 	}
@@ -673,48 +502,22 @@ func failureReason(err error) fl.FailureReason {
 	return fl.FailTransport
 }
 
-// negotiate settles one client's codec and compression from its hello.
-// The binary codec requires both sides to offer it; compression
-// additionally requires a parseable mode. A nonsense compression offer is
-// an error (a bad hello), not a silent downgrade.
-func (c *Coordinator) negotiate(h hello) (binary bool, cfg compress.Config, err error) {
-	binary = c.Codec == wire.CodecBinary && h.Codec == wire.CodecBinary
-	if h.Compress == "" {
-		return binary, compress.Config{}, nil
-	}
-	mode, err := compress.ParseMode(h.Compress)
-	if err != nil {
-		return false, compress.Config{}, fmt.Errorf("transport: client %d: %w", h.ID, err)
-	}
-	if !binary {
-		// Compression only exists on the frame codec; a gob session
-		// silently ignoring the offer would surprise the client, so the
-		// welcome simply echoes no compression and the client sends dense.
-		return binary, compress.Config{}, nil
-	}
-	return binary, compress.Config{Mode: mode, TopKFrac: h.TopKFrac}.WithDefaults(), nil
-}
-
-// handshake performs the server side of one connection's gob handshake:
-// read the hello under the byte budget, enforce the session token, and
-// settle codec/compression/partial. It deliberately does NOT send the
-// welcome — rejoin admission defers the welcome to a round boundary,
+// handshake performs the server side of one connection's handshake: read
+// the hello frame under the byte budget, enforce the session token, and
+// settle compression and the partial role. It deliberately does NOT send
+// the welcome — rejoin admission defers the welcome to a round boundary,
 // where the promised NextRound is stable.
 func (c *Coordinator) handshake(conn net.Conn, token string, rxTally, txTally *uint64) (*clientConn, error) {
 	lim := &budgetReader{r: conn, bytes: c.Metrics.decodeBytesCounter(), tally: rxTally}
-	cw := &countWriter{w: conn, bytes: c.Metrics.txBytesCounter(), tally: txTally}
-	br := newConnReader(lim, c.ReadBufSize)
 	cc := &clientConn{
-		enc:  gob.NewEncoder(cw),
-		dec:  gob.NewDecoder(br),
 		lim:  lim,
-		br:   br,
-		w:    cw,
+		br:   newConnReader(lim, c.ReadBufSize),
+		w:    &countWriter{w: conn, bytes: c.Metrics.txBytesCounter(), tally: txTally},
 		conn: conn,
 	}
 	lim.allow(maxHelloBytes)
-	var h hello
-	if err := cc.dec.Decode(&h); err != nil {
+	h, err := readHandshake(cc.br, wire.MsgHello, wire.DecodeHello)
+	if err != nil {
 		c.Metrics.decodeFailure()
 		return nil, fmt.Errorf("transport: reading hello: %w", err)
 	}
@@ -723,63 +526,51 @@ func (c *Coordinator) handshake(conn net.Conn, token string, rxTally, txTally *u
 		// would silently break resume bit-identity.
 		return nil, fmt.Errorf("transport: client %d presented an unknown session token", h.ID)
 	}
-	binary, cfg, err := c.negotiate(h)
-	if err != nil {
-		return nil, err
-	}
-	partial := h.Partial
-	if partial && c.AcceptPartials && !binary {
-		return nil, fmt.Errorf("transport: leaf %d offered partials without the binary codec", h.ID)
-	}
-	if partial && !c.AcceptPartials {
-		// A leaf dialed a plain coordinator: decline the offer in the
-		// welcome; the leaf sees the missing confirmation and bails.
-		partial = false
-	}
-	if c.AcceptPartials && !partial {
+	if c.AcceptPartials && !h.Partial {
 		return nil, fmt.Errorf("transport: client %d does not speak the partial protocol this root requires", h.ID)
 	}
 	cc.id = h.ID
 	cc.samples = h.NumSamples
-	cc.binary = binary
-	cc.cfg = cfg
-	cc.partial = partial
-	if partial {
-		// Settle the partial version at min(offer, 2); 0 offers come from
-		// pre-PartialV leaves and mean v1.
-		cc.partialV = 1
-		if h.PartialV >= 2 {
-			cc.partialV = 2
-		}
-	}
+	cc.cfg = compress.Config{Mode: h.Compress, TopKFrac: h.TopKFrac}.WithDefaults()
+	// A child aggregator that dialed a plain coordinator is declined: the
+	// welcome lacks the confirmation, and the child sees that and bails.
+	cc.partial = h.Partial && c.AcceptPartials
 	cc.hadToken = h.Token != ""
 	return cc, nil
 }
 
-// welcomeFor specializes the session welcome for one connection: it
-// carries the codec, compression, and partial-protocol confirmation that
-// particular handshake settled on, so mixed rosters (old gob clients
-// beside compressed binary ones) are first-class.
-func (c *Coordinator) welcomeFor(cc *clientConn, w welcome) welcome {
-	if cc.binary {
-		w.Codec = wire.CodecBinary
-		if cc.cfg.Mode != compress.None {
-			w.Compress = cc.cfg.Mode.String()
-			w.TopKFrac = cc.cfg.TopKFrac
-		}
+// readHandshake reads one handshake frame of type typ from r and decodes
+// it. The caller bounds the bytes r may consume.
+func readHandshake[T any](r io.Reader, typ byte, decode func([]byte) (T, error)) (T, error) {
+	var zero T
+	f, err := wire.ReadFrame(r, maxHelloBytes-wire.HeaderLen)
+	if err != nil {
+		return zero, err
 	}
+	defer f.Release()
+	if f.Type != typ {
+		return zero, fmt.Errorf("wire: expected frame type %d, got %d", typ, f.Type)
+	}
+	return decode(f.Payload)
+}
+
+// sendWelcome answers the connection's accepted hello with the session
+// welcome, specialized with the compression and partial role it settled
+// on.
+func (cc *clientConn) sendWelcome(w wire.Welcome) error {
+	w.Compress, w.TopKFrac = cc.cfg.Mode, cc.cfg.TopKFrac
 	w.Partial = cc.partial
-	w.PartialV = cc.partialV
-	return w
+	_, err := cc.w.Write(wire.AppendWelcomeFrame(nil, w))
+	return err
 }
 
 // acceptClients collects the initial roster, answering each valid hello
 // with a welcome carrying the session token, resume round, and the
-// settled codec/compression for that client. Any connection accepted
+// settled compression for that client. Any connection accepted
 // before an error is closed before returning, so a bad hello from client
 // n does not leak clients 1..n-1. rxTally/txTally feed the coordinator's
 // per-round byte accounting.
-func (c *Coordinator) acceptClients(ln net.Listener, w welcome, rxTally, txTally *uint64) (conns []*clientConn, err error) {
+func (c *Coordinator) acceptClients(ln net.Listener, w wire.Welcome, rxTally, txTally *uint64) (conns []*clientConn, err error) {
 	defer func() {
 		if err != nil {
 			for _, cc := range conns {
@@ -816,7 +607,7 @@ func (c *Coordinator) acceptClients(ln net.Listener, w welcome, rxTally, txTally
 			herr = fmt.Errorf("transport: duplicate client id %d", cc.id)
 		}
 		if herr == nil {
-			if werr := cc.enc.Encode(c.welcomeFor(cc, w)); werr != nil {
+			if werr := cc.sendWelcome(w); werr != nil {
 				herr = fmt.Errorf("transport: sending welcome to client %d: %w", cc.id, werr)
 			}
 		}
@@ -834,7 +625,6 @@ func (c *Coordinator) acceptClients(ln net.Listener, w welcome, rxTally, txTally
 		conn.SetReadDeadline(time.Time{}) //nolint:errcheck
 		conns = append(conns, cc)
 		c.Metrics.connAccepted()
-		c.Metrics.codecNegotiated(cc.binary)
 	}
 	return conns, nil
 }
@@ -889,13 +679,13 @@ type RetryConfig struct {
 	Rng *rand.Rand
 	// Dial overrides the dialer (fault-injection hook); nil dials TCP.
 	Dial func(addr string) (net.Conn, error)
-	// Codec, when "binary", offers the wire-frame codec in the hello; the
-	// session uses it iff the coordinator accepts. Empty or "gob" stays
-	// on gob. Setting Compress implies the binary offer.
+	// Codec is accepted for compatibility and must be "" or "binary";
+	// any other value fails at start.
+	//
+	// Deprecated: the wire frame is the only protocol.
 	Codec string
 	// Compress offers an update-compression mode (compress.ParseMode
 	// names: topk, q8, q16, topk8, topk16); empty sends dense updates.
-	// Effective only when the coordinator accepts the binary codec.
 	Compress string
 	// TopKFrac is the top-k fraction offered with sparse modes (0 means
 	// the compress package default, 1%).
@@ -934,10 +724,15 @@ func (rc RetryConfig) withDefaults() RetryConfig {
 	if rc.Dial == nil {
 		rc.Dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
-	if rc.Compress != "" && rc.Codec == "" {
-		rc.Codec = wire.CodecBinary // compression exists only on the frame codec
-	}
 	return rc
+}
+
+// checkCodec enforces the deprecated Codec fields' one legal value.
+func checkCodec(codec string) error {
+	if codec != "" && codec != wire.CodecBinary {
+		return fmt.Errorf("transport: unsupported codec %q (the wire frame is the only protocol)", codec)
+	}
+	return nil
 }
 
 // backoff returns the sleep before the attempt-th retry (attempt ≥ 1).
@@ -981,8 +776,7 @@ type sessionState struct {
 	// noCapture is set after CaptureState fails once (a client not built
 	// for statefulness); further rounds skip the attempt.
 	noCapture bool
-	// residual is the error-feedback accumulator of a compressed binary
-	// session: everything past lossy rounds dropped, folded into the next
+	// residual is the error-feedback accumulator of a compressed session: everything past lossy rounds dropped, folded into the next
 	// round's delta. resCaptures snapshots it per completed round
 	// alongside captures, so a rollback restores the residual the resumed
 	// round's compression depends on — without it, a resumed federation
@@ -1010,9 +804,15 @@ func RunClient(addr string, client fl.Client) error {
 // by total dials. Against a non-durable coordinator mid-federation errors
 // remain fatal (there is nothing to rejoin).
 func RunClientRetry(addr string, client fl.Client, rc RetryConfig) error {
+	if err := checkCodec(rc.Codec); err != nil {
+		return err
+	}
+	mode, err := compress.ParseMode(rc.Compress)
+	if err != nil {
+		return fmt.Errorf("transport: %w", err)
+	}
 	rc = rc.withDefaults()
 	st := &sessionState{captures: make(map[int][]byte)}
-	var err error
 	for attempt := 1; attempt <= rc.MaxAttempts; attempt++ {
 		if attempt > 1 {
 			rc.Metrics.retryAttempt()
@@ -1024,7 +824,7 @@ func RunClientRetry(addr string, client fl.Client, rc RetryConfig) error {
 			return ErrClientStopped
 		}
 		joinedBefore, roundBefore := st.joined, st.nextRound
-		err = runSession(addr, client, rc, st)
+		err = runSession(addr, client, rc, mode, st)
 		if err == nil || errors.Is(err, ErrClientStopped) || errors.As(err, &errFatal{}) {
 			return err
 		}
@@ -1074,49 +874,28 @@ func sleepOrStop(d time.Duration, stop <-chan struct{}) bool {
 const clientFrameBudget = 1 << 30
 
 // runSession runs one connect-train session, updating st as the federation
-// progresses so a later session can resume.
-func runSession(addr string, client fl.Client, rc RetryConfig, st *sessionState) error {
-	stop := rc.Stop
+// progresses so a later session can resume. mode is the parsed
+// compression offer.
+func runSession(addr string, client fl.Client, rc RetryConfig, mode compress.Mode, st *sessionState) error {
 	conn, err := rc.Dial(addr)
 	if err != nil {
 		return fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
 	defer conn.Close()
+	stopErr, release := watchStop(conn, rc.Stop)
+	defer release()
 
-	// While this session blocks in a read, a Stop signal unblocks it by
-	// expiring the read deadline; the session then reports ErrClientStopped.
-	if stop != nil {
-		done := make(chan struct{})
-		defer close(done)
-		go func() {
-			select {
-			case <-stop:
-				conn.SetReadDeadline(time.Now()) //nolint:errcheck
-			case <-done:
-			}
-		}()
-	}
-	stopErr := func(err error) error {
-		if stopped(stop) {
-			return ErrClientStopped
-		}
-		return err
-	}
-
-	enc := gob.NewEncoder(conn)
-	// The gob decoder buffers its input; the binary frame loop must read
-	// from the same buffer or it would miss bytes the welcome decode read
-	// ahead (the first round frame can arrive right behind the welcome).
-	br := bufio.NewReader(conn)
-	dec := gob.NewDecoder(br)
-	if err := enc.Encode(hello{
+	if _, err := conn.Write(wire.AppendHelloFrame(nil, wire.Hello{
 		ID: client.ID(), NumSamples: client.NumSamples(), Token: st.token,
-		Codec: rc.Codec, Compress: rc.Compress, TopKFrac: rc.TopKFrac,
-	}); err != nil {
+		Compress: mode, TopKFrac: rc.TopKFrac,
+	})); err != nil {
 		return stopErr(fmt.Errorf("transport: sending hello: %w", err))
 	}
-	var w welcome
-	if err := dec.Decode(&w); err != nil {
+	// The first round frame can arrive right behind the welcome, so the
+	// round loop reads from the same buffer.
+	br := bufio.NewReader(conn)
+	w, err := readHandshake(br, wire.MsgWelcome, wire.DecodeWelcome)
+	if err != nil {
 		return stopErr(fmt.Errorf("transport: reading welcome: %w", err))
 	}
 	if st.token == "" {
@@ -1124,17 +903,7 @@ func runSession(addr string, client fl.Client, rc RetryConfig, st *sessionState)
 	} else if w.Token != st.token {
 		return errFatal{fmt.Errorf("transport: coordinator session token changed mid-federation")}
 	}
-	// The welcome settles the session codec: binary iff the coordinator
-	// accepted the offer (old coordinators leave the field empty — gob).
-	binary := w.Codec == wire.CodecBinary
-	var cfg compress.Config
-	if binary && w.Compress != "" {
-		mode, err := compress.ParseMode(w.Compress)
-		if err != nil {
-			return errFatal{fmt.Errorf("transport: coordinator accepted unknown compression: %w", err)}
-		}
-		cfg = compress.Config{Mode: mode, TopKFrac: w.TopKFrac}.WithDefaults()
-	}
+	cfg := compress.Config{Mode: w.Compress, TopKFrac: w.TopKFrac}.WithDefaults()
 	if w.NextRound < st.nextRound {
 		// The coordinator lost rounds this client already trained; rewind
 		// to the capture matching its resume point.
@@ -1144,38 +913,8 @@ func runSession(addr string, client fl.Client, rc RetryConfig, st *sessionState)
 	}
 	st.nextRound = w.NextRound
 
-	if binary {
-		return runRoundsBinary(conn, br, client, cfg, stopErr, st)
-	}
 	for {
-		var rm roundMsg
-		if err := dec.Decode(&rm); err != nil {
-			return stopErr(fmt.Errorf("transport: reading round: %w", err))
-		}
-		st.joined = true
-		if rm.Done {
-			return nil
-		}
-		pruneCaptures(st, rm.Durable)
-		u, err := client.TrainLocal(rm.Round, rm.Params)
-		if err != nil {
-			return errFatal{fmt.Errorf("transport: local training round %d: %w", rm.Round, err)}
-		}
-		if err := enc.Encode(updateMsg{U: u}); err != nil {
-			return stopErr(fmt.Errorf("transport: sending update: %w", err))
-		}
-		st.nextRound = rm.Round + 1
-		capture(client, st, rm.Round, nil)
-	}
-}
-
-// runRoundsBinary is the round loop of a binary-codec session: wire
-// frames both directions, with optional compressed (error-feedback)
-// updates. The hello/welcome handshake already happened over gob.
-func runRoundsBinary(conn net.Conn, r io.Reader, client fl.Client, cfg compress.Config,
-	stopErr func(error) error, st *sessionState) error {
-	for {
-		f, err := wire.ReadFrame(r, clientFrameBudget)
+		f, err := wire.ReadFrame(br, clientFrameBudget)
 		if err != nil {
 			return stopErr(fmt.Errorf("transport: reading round frame: %w", err))
 		}
@@ -1198,7 +937,7 @@ func runRoundsBinary(conn net.Conn, r io.Reader, client fl.Client, cfg compress.
 		if err != nil {
 			return errFatal{fmt.Errorf("transport: local training round %d: %w", round, err)}
 		}
-		if err := sendUpdateBinary(conn, u, params, cfg, st); err != nil {
+		if err := sendUpdate(conn, u, params, cfg, st); err != nil {
 			return stopErr(err)
 		}
 		st.nextRound = round + 1
@@ -1210,11 +949,35 @@ func runRoundsBinary(conn net.Conn, r io.Reader, client fl.Client, cfg compress.
 	}
 }
 
-// sendUpdateBinary encodes and sends one update frame. Uncompressed
+// watchStop arranges for a Stop signal to unblock a session blocked in a
+// read on conn by expiring its read deadline. It returns the error mapper
+// that reports such an interrupted session as ErrClientStopped, and the
+// release func that ends the watcher when the session returns.
+func watchStop(conn net.Conn, stop <-chan struct{}) (stopErr func(error) error, release func()) {
+	done := make(chan struct{})
+	if stop != nil {
+		go func() {
+			select {
+			case <-stop:
+				conn.SetReadDeadline(time.Now()) //nolint:errcheck
+			case <-done:
+			}
+		}()
+	}
+	stopErr = func(err error) error {
+		if stopped(stop) {
+			return ErrClientStopped
+		}
+		return err
+	}
+	return stopErr, func() { close(done) }
+}
+
+// sendUpdate encodes and sends one update frame. Uncompressed
 // sessions send the raw dense parameters; compressed ones send the
 // delta against the broadcast global with the error-feedback residual
 // folded in, and keep what the lossy codec dropped as the new residual.
-func sendUpdateBinary(conn net.Conn, u fl.Update, broadcast []float64,
+func sendUpdate(conn net.Conn, u fl.Update, broadcast []float64,
 	cfg compress.Config, st *sessionState) error {
 	var (
 		frame []byte

@@ -65,14 +65,14 @@ func TestDepth3TreeMatchesFlat(t *testing.T) {
 
 	flat := &Coordinator{
 		NumClients: nLeaves * perLeaf, Rounds: rounds,
-		Initial: append([]float64(nil), initial...), Codec: "binary",
+		Initial: append([]float64(nil), initial...),
 	}
 	want, _ := runVecFederation(t, flat, nLeaves*perLeaf)
 
 	root := &Coordinator{
 		NumClients: interiors, Rounds: rounds,
-		Initial: append([]float64(nil), initial...),
-		Codec:   "binary", AcceptPartials: true,
+		Initial:        append([]float64(nil), initial...),
+		AcceptPartials: true,
 	}
 	rootAddr, rootWait := startCoordinator(t, root)
 
@@ -83,9 +83,9 @@ func TestDepth3TreeMatchesFlat(t *testing.T) {
 		interior := &Leaf{
 			ID: i, Root: rootAddr,
 			Local: Coordinator{
-				NumClients: leavesPer,
-				Initial:    append([]float64(nil), initial...),
-				Codec:      "binary", AcceptPartials: true,
+				NumClients:     leavesPer,
+				Initial:        append([]float64(nil), initial...),
+				AcceptPartials: true,
 			},
 		}
 		intAddr, wait := startNode(t, interior)
@@ -156,9 +156,9 @@ func TestDegradedPartialCarriesCoverage(t *testing.T) {
 	coverages := make([]float64, rounds)
 	root := &Coordinator{
 		NumClients: leaves, Rounds: rounds,
-		Initial: append([]float64(nil), initial...),
-		Codec:   "binary", AcceptPartials: true,
-		RoundMetrics: rm,
+		Initial:        append([]float64(nil), initial...),
+		AcceptPartials: true,
+		RoundMetrics:   rm,
 		AfterRound: func(round int) error {
 			coverages[round] = rm.RoundCoverage.Value()
 			return nil
@@ -224,9 +224,9 @@ func TestCoverageFloorAbortsRound(t *testing.T) {
 	initial := []float64{1, -2, 3}
 	root := &Coordinator{
 		NumClients: leaves, Rounds: rounds,
-		Initial: append([]float64(nil), initial...),
-		Codec:   "binary", AcceptPartials: true,
-		CoverageFloor: 0.9,
+		Initial:        append([]float64(nil), initial...),
+		AcceptPartials: true,
+		CoverageFloor:  0.9,
 	}
 	rootAddr, rootWait := startCoordinator(t, root)
 
@@ -267,14 +267,14 @@ func TestTreeMedianMatchesFlatRobust(t *testing.T) {
 	flat := &Coordinator{
 		NumClients: leaves * perLeaf, Rounds: rounds,
 		Initial: append([]float64(nil), initial...),
-		Codec:   "binary", Robust: robust.Median{},
+		Robust:  robust.Median{},
 	}
 	want, _ := runVecFederation(t, flat, leaves*perLeaf)
 
 	root := &Coordinator{
 		NumClients: leaves, Rounds: rounds,
-		Initial: append([]float64(nil), initial...),
-		Codec:   "binary", AcceptPartials: true, Robust: robust.Median{},
+		Initial:        append([]float64(nil), initial...),
+		AcceptPartials: true, Robust: robust.Median{},
 	}
 	rootAddr, rootWait := startCoordinator(t, root)
 	waits := make([]func() error, leaves)
@@ -363,8 +363,8 @@ func TestLeafFailsOverToAltParent(t *testing.T) {
 	initial := []float64{1, -2, 3}
 	root := &Coordinator{
 		NumClients: leaves, Rounds: rounds,
-		Initial: append([]float64(nil), initial...),
-		Codec:   "binary", AcceptPartials: true, AcceptRejoins: true,
+		Initial:        append([]float64(nil), initial...),
+		AcceptPartials: true, AcceptRejoins: true,
 		MinQuorum: 1, RoundTimeout: 2 * time.Second,
 	}
 	var stopProxy func()
@@ -479,8 +479,8 @@ func testMidPartialKill(t *testing.T, inProcess bool) {
 	rm := fl.NewMetrics(reg)
 	root := &Coordinator{
 		NumClients: leaves, Rounds: rounds,
-		Initial: append([]float64(nil), initial...),
-		Codec:   "binary", AcceptPartials: true, AcceptRejoins: true,
+		Initial:        append([]float64(nil), initial...),
+		AcceptPartials: true, AcceptRejoins: true,
 		MinQuorum: 1, RoundTimeout: 2 * time.Second,
 		RoundMetrics: rm,
 		// Pace the rounds so the cut leaf's redial+rejoin lands before the
@@ -578,106 +578,58 @@ func testMidPartialKill(t *testing.T, inProcess bool) {
 func TestMidPartialFrameKillOverTCP(t *testing.T)   { testMidPartialKill(t, false) }
 func TestMidPartialFrameKillInProcess(t *testing.T) { testMidPartialKill(t, true) }
 
-// TestPartialVersionNegotiationMatrix drives {v1, v2} leaves against mean
-// and median roots. Mean roots fold identical sums either way; median
-// roots see per-client rows from v2 leaves and an implied-mean fallback
-// row per v1 leaf, matching the simulated reference exactly.
+// TestPartialVersionNegotiationMatrix drives a median root over two
+// leaves. The root sees one row per client through the leaves' sketches
+// and must match the simulated per-client median exactly.
 func TestPartialVersionNegotiationMatrix(t *testing.T) {
-	const perLeaf, rounds = 2, 3
+	const leaves, perLeaf, rounds = 2, 2, 3
 	initial := []float64{0.5, -1.25, 3, 0.0625}
 
-	runTree := func(rule robust.Aggregator, versions []int) []float64 {
-		t.Helper()
-		root := &Coordinator{
-			NumClients: len(versions), Rounds: rounds,
-			Initial: append([]float64(nil), initial...),
-			Codec:   "binary", AcceptPartials: true, Robust: rule,
-		}
-		rootAddr, rootWait := startCoordinator(t, root)
-		waits := make([]func() error, len(versions))
-		clientErrs := make([][]error, len(versions))
-		for l, v := range versions {
-			clientErrs[l] = make([]error, perLeaf)
-			waits[l] = startLeaf(t, &Leaf{
-				ID: l, Root: rootAddr, PartialVersion: v,
-				Local: Coordinator{NumClients: perLeaf, Initial: append([]float64(nil), initial...)},
-			}, vecShard(l), clientErrs[l])
-		}
-		global, rootErr := rootWait()
-		if rootErr != nil {
-			t.Fatalf("root (versions %v): %v", versions, rootErr)
-		}
-		for l, wait := range waits {
-			if err := wait(); err != nil {
-				t.Fatalf("leaf %d (v%d): %v", l, versions[l], err)
-			}
-			for i, err := range clientErrs[l] {
-				if err != nil {
-					t.Fatalf("leaf %d client %d: %v", l, i, err)
-				}
-			}
-		}
-		return global
+	root := &Coordinator{
+		NumClients: leaves, Rounds: rounds,
+		Initial:        append([]float64(nil), initial...),
+		AcceptPartials: true, Robust: robust.Median{},
 	}
-
-	// simulateMedian replays the tree semantics: v2 leaves contribute one
-	// row per client, v1 leaves their fold's implied mean, and the root
-	// takes the per-coordinate median.
-	simulateMedian := func(versions []int) []float64 {
-		g := append([]float64(nil), initial...)
-		for r := 0; r < rounds; r++ {
-			var rows [][]float64
-			for l, v := range versions {
-				ids := []int{2 * l, 2*l + 1}
-				if v == 1 {
-					sum := make([]float64, len(g))
-					w := 0.0
-					for _, id := range ids {
-						p := vecParams(id, r, g)
-						ww := float64(5 + 3*id)
-						for i := range sum {
-							sum[i] += ww * p[i]
-						}
-						w += ww
-					}
-					row := make([]float64, len(sum))
-					for i := range sum {
-						row[i] = sum[i] / w
-					}
-					rows = append(rows, row)
-				} else {
-					for _, id := range ids {
-						rows = append(rows, vecParams(id, r, g))
-					}
-				}
-			}
-			agg, _, err := robust.Median{}.Aggregate(g, rows, nil)
+	rootAddr, rootWait := startCoordinator(t, root)
+	waits := make([]func() error, leaves)
+	clientErrs := make([][]error, leaves)
+	for l := range waits {
+		clientErrs[l] = make([]error, perLeaf)
+		waits[l] = startLeaf(t, &Leaf{
+			ID: l, Root: rootAddr,
+			Local: Coordinator{NumClients: perLeaf, Initial: append([]float64(nil), initial...)},
+		}, vecShard(l), clientErrs[l])
+	}
+	got, rootErr := rootWait()
+	if rootErr != nil {
+		t.Fatalf("root: %v", rootErr)
+	}
+	for l, wait := range waits {
+		if err := wait(); err != nil {
+			t.Fatalf("leaf %d: %v", l, err)
+		}
+		for i, err := range clientErrs[l] {
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("leaf %d client %d: %v", l, i, err)
 			}
-			g = agg
 		}
-		return g
 	}
 
-	meanRef := runTree(nil, []int{2, 2})
-	for _, versions := range [][]int{{1, 2}, {1, 1}} {
-		got := runTree(nil, versions)
-		for i := range meanRef {
-			if got[i] != meanRef[i] {
-				t.Fatalf("mean root, versions %v, coord %d: %v vs all-v2 %v",
-					versions, i, got[i], meanRef[i])
-			}
+	want := append([]float64(nil), initial...)
+	for r := 0; r < rounds; r++ {
+		var rows [][]float64
+		for id := 0; id < leaves*perLeaf; id++ {
+			rows = append(rows, vecParams(id, r, want))
 		}
+		agg, _, err := robust.Median{}.Aggregate(want, rows, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = agg
 	}
-	for _, versions := range [][]int{{2, 2}, {1, 2}, {1, 1}} {
-		got := runTree(robust.Median{}, versions)
-		want := simulateMedian(versions)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("median root, versions %v, coord %d: %v vs simulated %v",
-					versions, i, got[i], want[i])
-			}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("median root, coord %d: %v vs simulated %v", i, got[i], want[i])
 		}
 	}
 }
@@ -691,8 +643,8 @@ func TestRootSamplingDirectiveThinsShards(t *testing.T) {
 	initial := []float64{1, -2, 3}
 	root := &Coordinator{
 		NumClients: leaves, Rounds: rounds,
-		Initial: append([]float64(nil), initial...),
-		Codec:   "binary", AcceptPartials: true,
+		Initial:        append([]float64(nil), initial...),
+		AcceptPartials: true,
 		SampleFraction: 0.5, SampleSeed: 9,
 	}
 	rootAddr, rootWait := startCoordinator(t, root)
@@ -766,8 +718,8 @@ func TestTreeRootRestartResumesBitIdentical(t *testing.T) {
 				mgr := &checkpoint.Manager{Path: filepath.Join(t.TempDir(), "root.ckpt")}
 				root := &Coordinator{
 					NumClients: leaves, Rounds: rounds,
-					Initial: append([]float64(nil), initial...),
-					Codec:   "binary", AcceptPartials: true, Robust: tc.rule(),
+					Initial:        append([]float64(nil), initial...),
+					AcceptPartials: true, Robust: tc.rule(),
 					Checkpoint: mgr, CheckpointEvery: 1,
 				}
 				if crash {
@@ -798,8 +750,8 @@ func TestTreeRootRestartResumesBitIdentical(t *testing.T) {
 					}
 					second := &Coordinator{
 						NumClients: leaves, Rounds: rounds,
-						Initial: append([]float64(nil), initial...),
-						Codec:   "binary", AcceptPartials: true, Robust: tc.rule(),
+						Initial:        append([]float64(nil), initial...),
+						AcceptPartials: true, Robust: tc.rule(),
 						Checkpoint: mgr, CheckpointEvery: 1,
 						Restore: snap,
 					}

@@ -1,8 +1,6 @@
 package transport
 
-// End-to-end coverage for the binary wire codec: the gob↔binary
-// negotiation matrix (every pairing must complete, and every dense
-// pairing must produce the same global bit for bit), compressed
+// End-to-end coverage for update compression on the wire: compressed
 // federations reaching dense-grade accuracy at a fraction of the wire
 // bytes, and coordinator crash/restart with a compressed session — the
 // client-side error-feedback residual must roll back with the round
@@ -89,72 +87,6 @@ func sameBits(t *testing.T, name string, got, want []float64) {
 	}
 }
 
-// TestCodecNegotiationMatrix drives every codec pairing through a real
-// loopback federation. Dense sessions are lossless on both codecs, so
-// every dense pairing must land on the same global bit for bit; the
-// telemetry counters prove which codec each pairing actually settled on.
-func TestCodecNegotiationMatrix(t *testing.T) {
-	const k, rounds = 2, 4
-	gobClients := []RetryConfig{{}, {}}
-	binClients := []RetryConfig{{Codec: "binary"}, {Codec: "binary"}}
-
-	want := runWireFederation(t, rounds, nil, gobClients)
-
-	cases := []struct {
-		name       string
-		coordCodec string
-		rcs        []RetryConfig
-		wantBinary uint64
-	}{
-		{"binary-coord-binary-clients", "binary", binClients, k},
-		{"binary-coord-gob-clients", "binary", gobClients, 0},
-		{"gob-coord-binary-clients", "", binClients, 0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			reg := telemetry.NewRegistry()
-			met := NewMetrics(reg)
-			got := runWireFederation(t, rounds, func(c *Coordinator) {
-				c.Codec = tc.coordCodec
-				c.Metrics = met
-			}, tc.rcs)
-			sameBits(t, tc.name, got, want)
-			if met.CodecBinary.Value() != tc.wantBinary || met.CodecGob.Value() != k-tc.wantBinary {
-				t.Fatalf("negotiated binary=%d gob=%d, want binary=%d gob=%d",
-					met.CodecBinary.Value(), met.CodecGob.Value(), tc.wantBinary, k-tc.wantBinary)
-			}
-			if tc.wantBinary == 0 && met.CompressedUpdates.Value() != 0 {
-				t.Fatal("gob session recorded compressed updates")
-			}
-		})
-	}
-}
-
-// TestMixedRosterNegotiation: codec choice is per-client. One legacy gob
-// client and one binary+compressed client share a federation; both finish,
-// and the telemetry shows one connection on each codec with compressed
-// updates flowing only from the binary one.
-func TestMixedRosterNegotiation(t *testing.T) {
-	const rounds = 3
-	reg := telemetry.NewRegistry()
-	met := NewMetrics(reg)
-	runWireFederation(t, rounds, func(c *Coordinator) {
-		c.Codec = "binary"
-		c.Metrics = met
-	}, []RetryConfig{
-		{}, // legacy gob client
-		{Codec: "binary", Compress: "topk8", TopKFrac: 0.25},
-	})
-	if met.CodecBinary.Value() != 1 || met.CodecGob.Value() != 1 {
-		t.Fatalf("negotiated binary=%d gob=%d, want 1 and 1",
-			met.CodecBinary.Value(), met.CodecGob.Value())
-	}
-	if got := met.CompressedUpdates.Value(); got != rounds {
-		t.Fatalf("compressed updates = %d, want %d (one per round from the binary client)",
-			got, rounds)
-	}
-}
-
 // TestCompressedFederationAccuracyAndBytes is the load-bearing check for
 // the compression path: a top-k+int8 federation with error feedback must
 // reach the same accuracy bar as the dense runs while shrinking the
@@ -165,16 +97,14 @@ func TestCompressedFederationAccuracyAndBytes(t *testing.T) {
 	denseReg := telemetry.NewRegistry()
 	denseMet := NewMetrics(denseReg)
 	runWireFederation(t, rounds, func(c *Coordinator) {
-		c.Codec = "binary"
 		c.Metrics = denseMet
-	}, []RetryConfig{{Codec: "binary"}, {Codec: "binary"}})
+	}, []RetryConfig{{}, {}})
 	denseBytes := denseMet.RoundBytes.Value()
 
 	reg := telemetry.NewRegistry()
 	met := NewMetrics(reg)
-	rc := RetryConfig{Compress: "topk8", TopKFrac: 0.25} // Compress implies the binary offer
+	rc := RetryConfig{Compress: "topk8", TopKFrac: 0.25}
 	global := runWireFederation(t, rounds, func(c *Coordinator) {
-		c.Codec = "binary"
 		c.Metrics = met
 	}, []RetryConfig{rc, rc})
 
@@ -219,7 +149,7 @@ func TestBinaryCompressedRestartResumesBitIdentical(t *testing.T) {
 	const k, rounds, every = 2, 6, 2
 	mkRC := func(i int) RetryConfig {
 		return RetryConfig{
-			Codec: "binary", Compress: "topk16", TopKFrac: 0.25,
+			Compress: "topk16", TopKFrac: 0.25,
 			MaxAttempts: 50,
 			BaseDelay:   5 * time.Millisecond,
 			Rng:         rand.New(rand.NewSource(int64(900 + i))),
@@ -229,7 +159,6 @@ func TestBinaryCompressedRestartResumesBitIdentical(t *testing.T) {
 	// Uninterrupted compressed durable run: the reference result.
 	baseMgr := &checkpoint.Manager{Path: filepath.Join(t.TempDir(), "base.ckpt")}
 	want := runWireFederation(t, rounds, func(c *Coordinator) {
-		c.Codec = "binary"
 		c.Checkpoint = baseMgr
 		c.CheckpointEvery = every
 	}, []RetryConfig{mkRC(0), mkRC(1)})
@@ -239,7 +168,7 @@ func TestBinaryCompressedRestartResumesBitIdentical(t *testing.T) {
 	crashClients, initial := buildStatefulClients(t, k)
 	mgr := &checkpoint.Manager{Path: filepath.Join(t.TempDir(), "state.ckpt")}
 	first := &Coordinator{
-		NumClients: k, Rounds: rounds, Initial: initial, Codec: "binary",
+		NumClients: k, Rounds: rounds, Initial: initial,
 		Checkpoint: mgr, CheckpointEvery: every,
 		AfterRound: faults.CrashAt(2),
 	}
@@ -279,7 +208,7 @@ func TestBinaryCompressedRestartResumesBitIdentical(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	met := NewMetrics(reg)
 	second := &Coordinator{
-		NumClients: k, Rounds: rounds, Initial: initial, Codec: "binary",
+		NumClients: k, Rounds: rounds, Initial: initial,
 		Checkpoint: mgr, CheckpointEvery: every,
 		Restore: snap, Metrics: met,
 	}

@@ -35,33 +35,23 @@ import (
 //
 // Compressed bodies are DELTAS against the round's broadcast global (the
 // decode side surfaces them as fl.Update{IsDelta: true} for fl.Densify);
-// mode none carries raw parameters, making an uncompressed binary
-// federation bit-identical to a gob one.
+// mode none carries raw parameters, making an uncompressed federation
+// bit-identical to an in-process one.
 //
 // Done (MsgDone): empty payload.
 //
-// Partial (MsgPartial, mode always None) — a leaf aggregator's
-// pre-division contribution for one round:
+// Partial (MsgPartial2, mode always None) — a child aggregator's
+// pre-division contribution for one round, with coverage metadata and an
+// optional mergeable row sketch:
 //
 //	round   uint32
 //	leafID  uint32
 //	count   uint32  (client updates folded into the sums)
+//	flags   uint32  (bit0 = degraded, bit1 = sketch present)
 //	weight  float64 (total FedAvg weight Σ w)
+//	expect  float64 (the subtree's planned cohort weight this round)
 //	n       uint32  (parameter count)
 //	sum     n × float64 (weighted parameter sums Σ w·v)
-//
-// Partial v2 (MsgPartial2, mode always None) — the v1 fields plus
-// coverage metadata and an optional mergeable row sketch (negotiated by
-// the hello/welcome PartialV capability):
-//
-//	round   uint32
-//	leafID  uint32
-//	count   uint32
-//	flags   uint32  (bit0 = degraded, bit1 = sketch present)
-//	weight  float64
-//	expect  float64 (the subtree's planned cohort weight this round)
-//	n       uint32
-//	sum     n × float64
 //	sketch (only when flags bit1):
 //	  cap  uint32
 //	  rows uint32  (total rows the sketch represents)
@@ -69,9 +59,9 @@ import (
 //	  keys k × uint64
 //	  vals k × n × float64
 //
-// Round v2 (MsgRound2, mode always None) — the round broadcast an
-// aggregator sends its partial-v2 children, carrying the root-coordinated
-// shard-sampling directive and sketch capacity alongside the v1 fields:
+// Round2 (MsgRound2, mode always None) — the round broadcast a tree
+// parent sends its child aggregators, carrying the root-coordinated
+// shard-sampling directive and sketch capacity alongside the round fields:
 //
 //	round      uint32
 //	durable    int32
@@ -81,6 +71,9 @@ import (
 //	n          uint32
 //	params     n × float64
 //
+// Hello (MsgHello) and Welcome (MsgWelcome), mode always None: see
+// handshake.go.
+//
 // Every decoder validates the exact size arithmetic before touching the
 // body, allocates nothing larger than ~8× the received payload, and runs
 // under a panic guard — the update path parses attacker-controlled bytes.
@@ -88,7 +81,6 @@ import (
 const (
 	roundHeadLen    = 12
 	updateHeadLen   = 20
-	partialHeadLen  = 24
 	partial2HeadLen = 36
 	sketchHeadLen   = 12
 	round2HeadLen   = 32
@@ -168,47 +160,7 @@ func DecodeRound(payload []byte) (round, durable int, params []float64, err erro
 	return round, durable, params, nil
 }
 
-// PartialPayloadLen returns the partial payload size for n parameters.
-func PartialPayloadLen(n int) int { return partialHeadLen + 8*n }
-
-// AppendPartialFrame appends a complete MsgPartial frame carrying a leaf's
-// pre-division weighted sums for one round.
-func AppendPartialFrame(dst []byte, p fl.Partial) []byte {
-	dst = AppendHeader(dst, MsgPartial, compress.None, PartialPayloadLen(len(p.Sum)))
-	dst = appendU32(dst, uint32(p.Round))
-	dst = appendU32(dst, uint32(p.LeafID))
-	dst = appendU32(dst, uint32(p.Count))
-	dst = appendF64(dst, p.Weight)
-	dst = appendU32(dst, uint32(len(p.Sum)))
-	return appendF64s(dst, p.Sum)
-}
-
-// DecodePartial parses a MsgPartial payload. Like the update decoder it
-// performs only the structural checks (exact size arithmetic, panic
-// guard); semantic validation (weight/count positivity, finiteness, the
-// implied-mean norm bound) is fl.ValidatePartial's job at the root.
-func DecodePartial(payload []byte) (p fl.Partial, err error) {
-	defer recoverDecode(&err)
-	if len(payload) < partialHeadLen {
-		return fl.Partial{}, fmt.Errorf("%w: partial payload of %d bytes", ErrTruncated, len(payload))
-	}
-	p.Round = int(getU32(payload[0:]))
-	p.LeafID = int(getU32(payload[4:]))
-	p.Count = int(int32(getU32(payload[8:])))
-	p.Weight = getF64(payload[12:])
-	n := int(getU32(payload[20:]))
-	if len(payload) != PartialPayloadLen(n) {
-		return fl.Partial{}, fmt.Errorf("%w: partial declares %d params in %d bytes, want %d",
-			ErrPayload, n, len(payload), PartialPayloadLen(n))
-	}
-	p.Sum = make([]float64, n)
-	for i := range p.Sum {
-		p.Sum[i] = getF64(payload[partialHeadLen+8*i:])
-	}
-	return p, nil
-}
-
-// Partial2PayloadLen returns the v2 partial payload size for n parameters
+// Partial2PayloadLen returns the MsgPartial2 payload size for n parameters
 // and k retained sketch rows (k is ignored when the sketch is absent).
 func Partial2PayloadLen(n, k int, hasSketch bool) int {
 	size := partial2HeadLen + 8*n
@@ -324,7 +276,7 @@ func DecodePartial2(payload []byte) (p fl.Partial, err error) {
 	return p, nil
 }
 
-// Round2 is the decoded form of a MsgRound2 broadcast: the v1 round fields
+// Round2 is the decoded form of a MsgRound2 broadcast: the MsgRound fields
 // plus the root-coordinated shard-sampling directive and sketch capacity.
 type Round2 struct {
 	Round      int
@@ -335,7 +287,7 @@ type Round2 struct {
 	Params     []float64
 }
 
-// Round2PayloadLen returns the v2 round payload size for n parameters.
+// Round2PayloadLen returns the MsgRound2 payload size for n parameters.
 func Round2PayloadLen(n int) int { return round2HeadLen + 8*n }
 
 // AppendRound2Frame appends a complete MsgRound2 frame.

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/hex"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -39,6 +40,8 @@ func seedGolden(f *testing.F, add func([]byte)) {
 func FuzzDecodeFrame(f *testing.F) {
 	seedGolden(f, func(b []byte) { f.Add(b, 4096) })
 	f.Add([]byte{Magic, Version, MsgUpdate, 0, 0xFF, 0xFF, 0xFF, 0xFF}, 64)
+	retired, _ := hex.DecodeString(retiredPartialFrame)
+	f.Add(retired, 4096)
 	f.Fuzz(func(t *testing.T, data []byte, budget int) {
 		if budget < 0 {
 			budget = -budget
@@ -81,17 +84,11 @@ func FuzzDecodeFrame(f *testing.F) {
 				t.Fatal("densify returned a sparse update without error")
 			}
 		case MsgPartial:
-			if p, err := DecodePartial(fr.Payload); err == nil {
-				if 8*len(p.Sum) > len(fr.Payload) {
-					t.Fatalf("partial decode expanded %d payload bytes to %d sums",
-						len(fr.Payload), len(p.Sum))
-				}
-				// Semantic validation must classify-or-error, never panic.
-				_ = fl.ValidatePartial(p, len(p.Sum), 1e6)
-			}
+			t.Fatal("ReadFrame accepted the retired MsgPartial type")
 		case MsgPartial2:
 			if p, err := DecodePartial2(fr.Payload); err == nil {
 				checkPartial2Expansion(t, p, len(fr.Payload))
+				// Semantic validation must classify-or-error, never panic.
 				_ = fl.ValidatePartial(p, len(p.Sum), 1e6)
 			}
 		case MsgRound2:
@@ -101,6 +98,10 @@ func FuzzDecodeFrame(f *testing.F) {
 						len(fr.Payload), len(r.Params))
 				}
 			}
+		case MsgHello:
+			DecodeHello(fr.Payload) //nolint:errcheck // FuzzDecodeHello checks results
+		case MsgWelcome:
+			DecodeWelcome(fr.Payload) //nolint:errcheck // FuzzDecodeHello checks results
 		}
 	})
 }
@@ -121,43 +122,84 @@ func checkPartial2Expansion(t *testing.T, p fl.Partial, payloadLen int) {
 	}
 }
 
-// FuzzDecodePartial hammers both partial decoders directly (no frame
-// header) — the bytes a hostile or torn leaf connection can feed the
-// root's partial exchange. Invariants: never panic, never allocate beyond
-// the payload's own size arithmetic, and semantic validation classifies
-// without panicking whatever the structural decode admits.
+// FuzzDecodePartial hammers the partial decoder directly (no frame
+// header) — the bytes a hostile or torn child connection can feed a
+// parent's partial exchange. Invariants: never panic, never allocate
+// beyond the payload's own size arithmetic, and semantic validation
+// classifies without panicking whatever the structural decode admits.
 func FuzzDecodePartial(f *testing.F) {
 	seedGolden(f, func(b []byte) {
-		if len(b) > HeaderLen && (b[2] == MsgPartial || b[2] == MsgPartial2) {
-			f.Add(b[2] == MsgPartial2, b[HeaderLen:])
+		if len(b) > HeaderLen && b[2] == MsgPartial2 {
+			f.Add(b[HeaderLen:])
 		}
 	})
-	f.Add(true, []byte{})
-	f.Fuzz(func(t *testing.T, v2 bool, payload []byte) {
-		if v2 {
-			p, err := DecodePartial2(payload)
-			if err != nil {
-				return
-			}
-			checkPartial2Expansion(t, p, len(payload))
-			if err := fl.ValidatePartial(p, len(p.Sum), 1e6); err == nil && p.Sketch != nil {
-				// A validated sketch must be structurally sound enough to
-				// merge without panicking.
-				m := robust.NewSketch(p.Sketch.Cap)
-				if err := m.Merge(p.Sketch); err != nil && p.Sketch.Dim() == m.Dim() {
-					t.Fatalf("validated sketch failed to merge: %v", err)
-				}
-			}
-			return
-		}
-		p, err := DecodePartial(payload)
+	sketchless := AppendPartial2Frame(nil, fl.Partial{
+		LeafID: 1, Round: 2, Sum: []float64{3, -1}, Weight: 4, Count: 2, ExpectWeight: 4,
+	})
+	f.Add(sketchless[HeaderLen:])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		p, err := DecodePartial2(payload)
 		if err != nil {
 			return
 		}
-		if 8*len(p.Sum) > len(payload) {
-			t.Fatalf("partial decode expanded %d payload bytes to %d sums", len(payload), len(p.Sum))
+		checkPartial2Expansion(t, p, len(payload))
+		if err := fl.ValidatePartial(p, len(p.Sum), 1e6); err == nil && p.Sketch != nil {
+			// A validated sketch must be structurally sound enough to
+			// merge without panicking.
+			m := robust.NewSketch(p.Sketch.Cap)
+			if err := m.Merge(p.Sketch); err != nil && p.Sketch.Dim() == m.Dim() {
+				t.Fatalf("validated sketch failed to merge: %v", err)
+			}
 		}
-		_ = fl.ValidatePartial(p, len(p.Sum), 1e6)
+	})
+}
+
+// FuzzDecodeHello hammers both handshake decoders directly (no frame
+// header) — the first bytes an unauthenticated peer sends, and the
+// coordinator's answer. Invariants: never panic; whatever decodes is in
+// range (non-negative IDs, counts and rounds, a bounded token, a known
+// compression mode, a finite top-k fraction) and re-encodes to the exact
+// payload it came from.
+func FuzzDecodeHello(f *testing.F) {
+	seedGolden(f, func(b []byte) {
+		if len(b) > HeaderLen && (b[2] == MsgHello || b[2] == MsgWelcome) {
+			f.Add(b[2] == MsgWelcome, b[HeaderLen:])
+		}
+	})
+	f.Add(false, []byte{})
+	f.Fuzz(func(t *testing.T, welcome bool, payload []byte) {
+		var mode compress.Mode
+		var frac float64
+		var token string
+		var again []byte
+		if welcome {
+			w, err := DecodeWelcome(payload)
+			if err != nil {
+				return
+			}
+			if w.NextRound < 0 {
+				t.Fatalf("welcome with round %d accepted", w.NextRound)
+			}
+			mode, frac, token = w.Compress, w.TopKFrac, w.Token
+			again = AppendWelcomeFrame(nil, w)
+		} else {
+			h, err := DecodeHello(payload)
+			if err != nil {
+				return
+			}
+			if h.ID < 0 || h.NumSamples < 0 {
+				t.Fatalf("hello with ID %d, samples %d accepted", h.ID, h.NumSamples)
+			}
+			mode, frac, token = h.Compress, h.TopKFrac, h.Token
+			again = AppendHelloFrame(nil, h)
+		}
+		if !mode.Valid() || math.IsNaN(frac) || math.IsInf(frac, 0) || len(token) > MaxTokenLen {
+			t.Fatalf("out-of-range handshake accepted: mode %d, top-k %v, %d-byte token", mode, frac, len(token))
+		}
+		if !bytes.Equal(again[HeaderLen:], payload) {
+			t.Fatalf("handshake re-encodes to %x, decoded from %x", again[HeaderLen:], payload)
+		}
 	})
 }
 

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -26,6 +27,14 @@ func goldenGlobal() []float64 {
 	return []float64{1, 1, 1, 1, 1, 1, 1, 1}
 }
 
+const goldenToken = "0123456789abcdef0123456789abcdef"
+
+// retiredPartialFrame is a frame of the retired MsgPartial type (the
+// sketchless partial). Every decoder must reject it.
+const retiredPartialFrame = "cf01040058000000030000000200000004000000000000000000444008000000" +
+	"000000000000e03f000000000000f4bf000000000000084000000000000000000000" +
+	"0000000080bf000000000040454000000000000018c0000000000000903f"
+
 // goldenFrames builds the committed conformance corpus: one frame per
 // codec version × message type × compression mode, always from the same
 // inputs. Any byte-level change to the wire format shows up as a reviewed
@@ -43,8 +52,13 @@ func goldenFrames(t *testing.T) map[string][]byte {
 	frames := map[string][]byte{
 		"v1_round": AppendRoundFrame(nil, 3, 1, goldenVector()),
 		"v1_done":  AppendDoneFrame(nil),
-		"v1_partial": AppendPartialFrame(nil, fl.Partial{
-			LeafID: 2, Round: 3, Sum: goldenVector(), Weight: 40, Count: 4,
+		"hello": AppendHelloFrame(nil, Hello{
+			ID: 5, NumSamples: 17, Token: goldenToken,
+			Compress: compress.TopKQ8, TopKFrac: 0.25,
+		}),
+		"welcome": AppendWelcomeFrame(nil, Welcome{
+			Token: goldenToken, NextRound: 3, Resumed: true,
+			Compress: compress.TopKQ8, TopKFrac: 0.25,
 		}),
 		"v2_partial": AppendPartial2Frame(nil, fl.Partial{
 			LeafID: 2, Round: 3, Sum: goldenVector(), Weight: 40, Count: 4,
@@ -123,7 +137,8 @@ func TestGoldenWireFormat(t *testing.T) {
 
 // TestGoldenFramesDecode proves every committed fixture still decodes —
 // the other half of conformance: bytes written by any past version of the
-// encoder must keep parsing.
+// encoder must keep parsing, except frames of the retired MsgPartial
+// type, which must be rejected.
 func TestGoldenFramesDecode(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "*.hex"))
 	if err != nil || len(files) == 0 {
@@ -160,10 +175,6 @@ func TestGoldenFramesDecode(t *testing.T) {
 			if len(f.Payload) != 0 {
 				t.Errorf("%s: done frame carries %d payload bytes", path, len(f.Payload))
 			}
-		case MsgPartial:
-			if _, err := DecodePartial(f.Payload); err != nil {
-				t.Errorf("%s: DecodePartial: %v", path, err)
-			}
 		case MsgPartial2:
 			p, err := DecodePartial2(f.Payload)
 			if err != nil {
@@ -177,7 +188,28 @@ func TestGoldenFramesDecode(t *testing.T) {
 			if _, err := DecodeRound2(f.Payload); err != nil {
 				t.Errorf("%s: DecodeRound2: %v", path, err)
 			}
+		case MsgHello:
+			if h, err := DecodeHello(f.Payload); err != nil {
+				t.Errorf("%s: DecodeHello: %v", path, err)
+			} else if h.Token != goldenToken {
+				t.Errorf("%s: hello token %q", path, h.Token)
+			}
+		case MsgWelcome:
+			if w, err := DecodeWelcome(f.Payload); err != nil {
+				t.Errorf("%s: DecodeWelcome: %v", path, err)
+			} else if w.Token != goldenToken {
+				t.Errorf("%s: welcome token %q", path, w.Token)
+			}
+		default:
+			t.Errorf("%s: frame type %d has no decoder", path, f.Type)
 		}
 		f.Release()
+	}
+	retired, err := hex.DecodeString(retiredPartialFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFrame(bytes.NewReader(retired), len(retired)); !errors.Is(err, ErrFrameType) {
+		t.Fatalf("retired MsgPartial frame: ReadFrame err = %v, want ErrFrameType", err)
 	}
 }

@@ -1,14 +1,14 @@
-// Package wire is the federation's binary update codec: length-prefixed,
-// versioned, little-endian frames carrying rounds and updates with zero
-// reflection on the hot path. It replaces gob between negotiating peers
-// (the welcome handshake decides per client; old clients keep gob).
+// Package wire is the federation's TCP protocol: length-prefixed,
+// versioned, little-endian frames carrying everything from the handshake
+// to the final done, with zero reflection on the hot path.
 //
 // Frame layout (all integers little-endian):
 //
 //	offset  size  field
 //	0       1     magic 0xCF
 //	1       1     version (currently 1)
-//	2       1     frame type (1=round, 2=update, 3=done, 4=partial)
+//	2       1     frame type (1=round, 2=update, 3=done, 5=partial2,
+//	              6=round2, 7=hello, 8=welcome; 4 is reserved)
 //	3       1     compression mode (compress.Mode; 0 except on updates)
 //	4       4     payload length, uint32
 //	8       n     payload
@@ -38,7 +38,7 @@ const (
 	// Magic is the first byte of every frame.
 	Magic = 0xCF
 	// Version is the codec version this package speaks. Decoders reject
-	// other versions; negotiation keeps old peers on gob instead.
+	// other versions.
 	Version = 1
 	// HeaderLen is the fixed frame-header size.
 	HeaderLen = 8
@@ -52,28 +52,26 @@ const (
 	MsgUpdate = 2
 	// MsgDone tells a client the federation is complete.
 	MsgDone = 3
-	// MsgPartial carries one leaf aggregator's pre-division weighted sums
-	// for a round (hierarchical aggregation; negotiated via the hello/
-	// welcome Partial capability, so old peers never see it).
+	// MsgPartial is reserved: it named the retired sketchless partial
+	// frame. ReadFrame rejects it, and new types must not reuse it.
 	MsgPartial = 4
-	// MsgPartial2 is the v2 partial: MsgPartial plus coverage metadata
-	// (expected weight, degraded flag) and an optional mergeable row
-	// sketch for robust tree aggregation. Negotiated via the hello/welcome
-	// PartialV field; v1 peers never see it.
+	// MsgPartial2 carries one child aggregator's round contribution:
+	// pre-division weighted sums, coverage metadata (expected weight,
+	// degraded flag) and an optional mergeable row sketch.
 	MsgPartial2 = 5
-	// MsgRound2 is the v2 round broadcast sent to partial-v2 children:
-	// MsgRound plus the root-coordinated sample fraction/seed and the
-	// sketch capacity the subtree should build at.
+	// MsgRound2 is the round broadcast a tree parent sends its child
+	// aggregators: MsgRound plus the root-coordinated sample
+	// fraction/seed and the sketch capacity the subtree should build at.
 	MsgRound2 = 6
+	// MsgHello opens every connection: the peer's identity and offers.
+	MsgHello = 7
+	// MsgWelcome is the coordinator's answer to a valid hello.
+	MsgWelcome = 8
 )
 
-// Codec names for flag/handshake use.
-const (
-	// CodecGob names the legacy reflection-driven gob stream.
-	CodecGob = "gob"
-	// CodecBinary names this package's framed binary codec.
-	CodecBinary = "binary"
-)
+// CodecBinary names this package's frame protocol, the only one the
+// transport speaks.
+const CodecBinary = "binary"
 
 // Errors the decode path classifies. All are terminal for the connection;
 // match with errors.Is.
@@ -90,6 +88,8 @@ var (
 	ErrTruncated = errors.New("wire: truncated payload")
 	// ErrPayload means a payload's internal lengths are inconsistent.
 	ErrPayload = errors.New("wire: malformed payload")
+	// ErrHandshake means a hello or welcome carries an out-of-range field.
+	ErrHandshake = errors.New("wire: bad handshake")
 )
 
 // Frame is one decoded frame header plus its raw payload. Payload storage
@@ -123,8 +123,9 @@ func ReadFrame(r io.Reader, budget int) (Frame, error) {
 		return Frame{}, fmt.Errorf("%w: %d (speaking %d)", ErrVersion, hdr[1], Version)
 	}
 	typ := hdr[2]
-	if typ != MsgRound && typ != MsgUpdate && typ != MsgDone && typ != MsgPartial &&
-		typ != MsgPartial2 && typ != MsgRound2 {
+	switch typ {
+	case MsgRound, MsgUpdate, MsgDone, MsgPartial2, MsgRound2, MsgHello, MsgWelcome:
+	default:
 		return Frame{}, fmt.Errorf("%w: %d", ErrFrameType, typ)
 	}
 	mode := compress.Mode(hdr[3])

@@ -4,10 +4,7 @@
 package flcli
 
 import (
-	"encoding/gob"
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -83,46 +80,17 @@ func SaveGlobal(path string, p datasets.Preset, s datasets.Scale, seed int64,
 	return nil
 }
 
-// LoadGlobal reads a global model written by SaveGlobal. Containerized
-// files are validated end to end (magic, kind, length, checksum) before
-// decoding; files from before the container format fall back to a raw,
-// byte-bounded gob decode. Corruption surfaces as a clean error either
-// way, never a panic or an unbounded allocation.
+// LoadGlobal reads a global model written by SaveGlobal. The file is
+// validated end to end (magic, kind, length, checksum) before decoding;
+// a file without the container fails with an error wrapping
+// checkpoint.ErrNotCheckpoint. Corruption surfaces as a clean error,
+// never a panic or an unbounded allocation.
 func LoadGlobal(path string) (*Global, error) {
 	var g Global
-	err := checkpoint.ReadFile(path, checkpoint.KindGlobal, maxModelFileBytes, &g)
-	if errors.Is(err, checkpoint.ErrNotCheckpoint) {
-		return loadGlobalLegacy(path)
-	}
-	if err != nil {
+	if err := checkpoint.ReadFile(path, checkpoint.KindGlobal, maxModelFileBytes, &g); err != nil {
 		return nil, fmt.Errorf("flcli: loading global model: %w", err)
 	}
 	return &g, nil
-}
-
-func loadGlobalLegacy(path string) (*Global, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("flcli: loading global model: %w", err)
-	}
-	defer f.Close()
-	var g Global
-	if err := decodeBounded(f, &g); err != nil {
-		return nil, fmt.Errorf("flcli: decoding global model %s: %w", path, err)
-	}
-	return &g, nil
-}
-
-// decodeBounded gob-decodes one value from r reading at most
-// maxModelFileBytes, converting decoder panics into errors so legacy
-// (uncontainerized, unchecksummed) files degrade cleanly.
-func decodeBounded(r io.Reader, v any) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("decode panicked: %v", p)
-		}
-	}()
-	return gob.NewDecoder(io.LimitReader(r, maxModelFileBytes)).Decode(v)
 }
 
 // ShutdownSignal installs SIGINT/SIGTERM handling shared by every FL

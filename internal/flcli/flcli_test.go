@@ -1,10 +1,15 @@
 package flcli
 
 import (
+	"encoding/gob"
+	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"github.com/cip-fl/cip/internal/datasets"
+	"github.com/cip-fl/cip/internal/experiments"
+	"github.com/cip-fl/cip/internal/fl/checkpoint"
 	"github.com/cip-fl/cip/internal/model"
 )
 
@@ -74,5 +79,32 @@ func TestGlobalRoundTrip(t *testing.T) {
 func TestLoadGlobalMissing(t *testing.T) {
 	if _, err := LoadGlobal(filepath.Join(t.TempDir(), "missing.gob")); err == nil {
 		t.Fatal("expected error for missing file")
+	}
+}
+
+// TestBareGobModelFilesRejected: model files from before the checkpoint
+// container (a bare gob Global or Artifact) no longer load; both loaders
+// fail with an error wrapping checkpoint.ErrNotCheckpoint.
+func TestBareGobModelFilesRejected(t *testing.T) {
+	dir := t.TempDir()
+	writeGob := func(name string, v any) string {
+		path := filepath.Join(dir, name)
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if err := gob.NewEncoder(f).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	g := writeGob("global.gob", Global{Preset: datasets.CHMNIST, Seed: 7, Arch: model.VGG, Params: []float64{1, 2}})
+	if _, err := LoadGlobal(g); !errors.Is(err, checkpoint.ErrNotCheckpoint) {
+		t.Fatalf("bare gob Global: err = %v, want ErrNotCheckpoint", err)
+	}
+	a := writeGob("artifact.gob", experiments.Artifact{Preset: datasets.Purchase50, Seed: 1, Params: []float64{3}})
+	if _, err := experiments.LoadArtifact(a); !errors.Is(err, checkpoint.ErrNotCheckpoint) {
+		t.Fatalf("bare gob Artifact: err = %v, want ErrNotCheckpoint", err)
 	}
 }
