@@ -91,7 +91,9 @@ byzsmoke:
 # the checkpoint container decode (the path a resuming process walks over
 # whatever a crash left on disk), plus the robust aggregators (which must
 # never panic or emit non-finite aggregates, whatever a hostile cohort
-# sends). Raise FUZZTIME for a real campaign: make fuzz FUZZTIME=10m
+# sends), plus the implicit-GEMM convolution against its im2col lowering
+# (bit-identical at both precisions over random geometry). Raise
+# FUZZTIME for a real campaign: make fuzz FUZZTIME=10m
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeHello -fuzztime=$(FUZZTIME) ./internal/fl/wire
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=$(FUZZTIME) ./internal/fl/checkpoint
@@ -100,6 +102,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecompressUpdate -fuzztime=$(FUZZTIME) ./internal/fl/wire
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePartial -fuzztime=$(FUZZTIME) ./internal/fl/wire
 	$(GO) test -run='^$$' -fuzz=FuzzNarrowWidenValidate -fuzztime=$(FUZZTIME) ./internal/fl
+	$(GO) test -run='^$$' -fuzz=FuzzConvLowering -fuzztime=$(FUZZTIME) ./internal/tensor
 
 # bench regenerates the tracked perf report against the committed seed
 # baseline. The same workloads run under plain `go test -bench` in

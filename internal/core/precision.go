@@ -4,7 +4,7 @@ import "github.com/cip-fl/cip/internal/tensor"
 
 // Precision policy for CIP training.
 //
-// The compute tier (tensor GEMM, im2col products, rectifier kernels) can
+// The compute tier (tensor GEMM, convolution passes, rectifier kernels) can
 // run in float32, but the federation's OBSERVABLE state stays float64 no
 // matter what the policy says. Concretely, under SetTrainingPrecision(F32):
 //

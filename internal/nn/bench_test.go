@@ -51,9 +51,9 @@ func BenchmarkForwardBackwardStep(b *testing.B) {
 }
 
 // BenchmarkConvForwardBackward isolates one Conv2D layer's train-mode
-// forward + backward, the path the scratch arena exists for: im2col
-// columns, GEMM product, reordered grad, and dW all come from the pool, so
-// steady-state allocations are just the two escaping output tensors.
+// forward + backward, the path the scratch arena exists for: the padded
+// input and every panel come from the pool, so steady-state allocations
+// are just the two escaping output tensors.
 func BenchmarkConvForwardBackward(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	g := tensor.ConvGeom{InC: 8, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}

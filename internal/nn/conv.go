@@ -8,7 +8,7 @@ import (
 )
 
 // Conv2D is a 2-D convolution over NCHW inputs with OIHW kernels,
-// implemented via im2col lowering to a single matmul.
+// computed by the implicit-GEMM passes in internal/tensor.
 type Conv2D struct {
 	Geom tensor.ConvGeom
 	OutC int
@@ -33,93 +33,35 @@ func NewConv2D(rng *rand.Rand, g tensor.ConvGeom, outC int) *Conv2D {
 	return c
 }
 
-// The conv cache is the pooled im2col matrix itself ([N*OH*OW, InC*KH*KW]);
-// boxing the existing pointer into the Cache interface costs no allocation,
-// and the batch size is recoverable from its row count.
+// The conv cache is the pooled zero-padded input that
+// tensor.ConvForwardInto returns; boxing the pointer into the Cache
+// interface costs no allocation.
 
 // Forward computes the convolution for x of shape [N, InC, InH, InW]. The
-// im2col matrix and the GEMM product are pooled scratch; the bias add is
-// fused into the GEMM epilogue. The columns stay in the cache (Backward
-// both needs and releases them); caches that never reach Backward simply
-// fall to the garbage collector.
+// padded input stays in the cache (Backward both needs and releases it);
+// caches that never reach Backward simply fall to the garbage collector.
 func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, Cache) {
 	g := c.Geom
-	n := x.Shape[0]
-	k := g.InC * g.KH * g.KW
-	oh, ow := g.OutH(), g.OutW()
-	spatial := oh * ow
-
-	cols := tensor.GetTensor(n*spatial, k) // [N*OH*OW, K]
-	tensor.Im2ColInto(cols, x, g)
-	prod := tensor.GetTensor(n*spatial, c.OutC) // [N*OH*OW, OutC]
-	tensor.MatMulTransBBiasInto(prod, cols, c.W.Value, c.B.Value.Data)
-
-	out := tensor.New(n, c.OutC, oh, ow)
-	for b := 0; b < n; b++ {
-		for s := 0; s < spatial; s++ {
-			row := prod.Data[(b*spatial+s)*c.OutC : (b*spatial+s+1)*c.OutC]
-			for oc, v := range row {
-				out.Data[(b*c.OutC+oc)*spatial+s] = v
-			}
-		}
-	}
-	tensor.PutTensor(prod)
-	return out, cols
+	out := tensor.New(x.Shape[0], c.OutC, g.OutH(), g.OutW())
+	padded := tensor.ConvForwardInto(out, x, c.W.Value, c.B.Value.Data, g)
+	return out, padded
 }
 
-// Backward accumulates kernel/bias gradients and returns the input gradient.
-// It consumes the cached im2col buffer: the columns are dead once dW is
-// computed, so the same storage is reused as the grad-columns destination
-// and then returned to the pool.
+// Backward accumulates kernel/bias gradients and returns the input
+// gradient, releasing the cached padded input.
 func (c *Conv2D) Backward(cache Cache, grad *tensor.Tensor) *tensor.Tensor {
-	gm, cols, n := c.accumParamGrads(cache, grad)
-	gradCols := cols // cols are dead after dW; reuse as [N*OH*OW, K] dst
-	tensor.MatMulInto(gradCols, gm, c.W.Value)
-	tensor.PutTensor(gm)
-	out := tensor.Col2Im(gradCols, n, c.Geom)
-	tensor.PutTensor(gradCols)
-	return out
+	g := c.Geom
+	c.BackwardParams(cache, grad)
+	dx := tensor.New(grad.Shape[0], g.InC, g.InH, g.InW)
+	return tensor.ConvInputGradInto(dx, grad, c.W.Value, g)
 }
 
 // BackwardParams implements ParamBackprop: kernel/bias gradients without
-// the input-gradient GEMM and col2im scatter a first layer never needs.
+// the input-gradient kernel and scatter a first layer never needs.
 func (c *Conv2D) BackwardParams(cache Cache, grad *tensor.Tensor) {
-	gm, cols, _ := c.accumParamGrads(cache, grad)
-	tensor.PutTensor(gm)
-	tensor.PutTensor(cols)
-}
-
-// accumParamGrads adds this batch's kernel and bias gradients into the
-// params and returns the reordered output gradient and the cached columns
-// (both owned by the caller, to finish or release).
-func (c *Conv2D) accumParamGrads(cache Cache, grad *tensor.Tensor) (gm, cols *tensor.Tensor, n int) {
-	cols = cache.(*tensor.Tensor)
-	g := c.Geom
-	spatial := g.OutH() * g.OutW()
-	n = cols.Shape[0] / spatial
-
-	// Reorder grad [N, OutC, OH, OW] into row-major [N*OH*OW, OutC].
-	gm = tensor.GetTensor(n*spatial, c.OutC)
-	for b := 0; b < n; b++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			base := (b*c.OutC + oc) * spatial
-			for s := 0; s < spatial; s++ {
-				gm.Data[(b*spatial+s)*c.OutC+oc] = grad.Data[base+s]
-			}
-		}
-	}
-
-	dW := tensor.GetTensor(c.OutC, g.InC*g.KH*g.KW)
-	tensor.MatMulTransAInto(dW, gm, cols) // [OutC, K]
-	tensor.AddInPlace(c.W.Grad, dW)
-	tensor.PutTensor(dW)
-	for r := 0; r < n*spatial; r++ {
-		row := gm.Data[r*c.OutC : (r+1)*c.OutC]
-		for oc, v := range row {
-			c.B.Grad.Data[oc] += v
-		}
-	}
-	return gm, cols, n
+	padded := cache.(*tensor.Tensor)
+	tensor.ConvParamGrads(c.W.Grad, c.B.Grad.Data, padded, grad, c.Geom)
+	tensor.PutTensor(padded)
 }
 
 // Params returns the kernel and bias.

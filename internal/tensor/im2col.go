@@ -27,7 +27,9 @@ func (g ConvGeom) Validate() error {
 	if g.Pad < 0 {
 		return fmt.Errorf("tensor: conv pad must be non-negative, got %d", g.Pad)
 	}
-	if g.OutH() <= 0 || g.OutW() <= 0 {
+	// Not OutH() <= 0: with Stride > 1 its truncating division rounds a
+	// kernel that overhangs the padded input up to one output row.
+	if g.KH > g.InH+2*g.Pad || g.KW > g.InW+2*g.Pad {
 		return fmt.Errorf("tensor: conv geometry yields empty output: %+v", g)
 	}
 	return nil
@@ -35,7 +37,9 @@ func (g ConvGeom) Validate() error {
 
 // Im2Col lowers a batch of NCHW images x (shape [N, C, H, W]) into a matrix
 // of shape [N*OutH*OutW, C*KH*KW], so that convolution becomes one matmul
-// against the reshaped kernel.
+// against the reshaped kernel. Training convolves through the implicit-GEMM
+// passes in conv.go instead; this lowering and Col2Im remain as their test
+// reference.
 func Im2Col(x *Tensor, g ConvGeom) *Tensor {
 	n := x.Shape[0]
 	return Im2ColInto(New(n*g.OutH()*g.OutW(), g.InC*g.KH*g.KW), x, g)
@@ -74,13 +78,10 @@ func im2colRange(cols, x *Tensor, g ConvGeom, lo, hi int) {
 			for ox := 0; ox < ow; ox++ {
 				row := cols.Data[((b*oh+oy)*ow+ox)*rowLen : ((b*oh+oy)*ow+ox+1)*rowLen]
 				ix0 := ox*g.Stride - g.Pad
-				klo, khi := 0, g.KW
-				if ix0 < 0 {
-					klo = -ix0
-				}
-				if ix0+g.KW > g.InW {
-					khi = g.InW - ix0
-				}
+				// Clamped so that a window lying wholly in the padding
+				// (Pad ≥ KW) zeroes its run instead of indexing past it.
+				klo := min(max(-ix0, 0), g.KW)
+				khi := max(min(g.KW, g.InW-ix0), klo)
 				for ky := 0; ky < g.KH; ky++ {
 					iy := oy*g.Stride + ky - g.Pad
 					base := ky * g.KW

@@ -38,7 +38,7 @@ const (
 )
 
 // parallelThreshold is the matrix volume (rows*cols*inner) above which
-// GEMM and the im2col kernels fan out across goroutines. Below it the
+// GEMM and the convolution passes fan out across goroutines. Below it the
 // goroutine overhead outweighs the parallel speedup.
 const parallelThreshold = 64 * 64 * 64
 
@@ -165,8 +165,8 @@ func MatMulTransBInto(dst, a, b *Tensor) *Tensor {
 }
 
 // MatMulTransBBiasInto computes dst = a·bᵀ + bias (bias broadcast across
-// rows, length n), fused into the GEMM epilogue — the convolution forward
-// pass in one call. dst must not alias a or b.
+// rows, length n), fused into the GEMM epilogue — the dense layer's
+// forward pass in one call. dst must not alias a or b.
 func MatMulTransBBiasInto(dst, a, b *Tensor, bias []float64) *Tensor {
 	m, k, n := gemmDims("MatMulTransBBiasInto", a, b, false, true)
 	checkDst("MatMulTransBBiasInto", dst, m, n)

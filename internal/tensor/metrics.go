@@ -73,7 +73,8 @@ func recordGEMM(vol int, dur time.Duration) {
 //	tensor_pool_misses_total        counter Gets that had to allocate
 //	tensor_pool_puts_total          counter buffers returned to the arena
 //
-// Pool hit rate = 1 - misses/gets. A nil registry is a no-op. Safe to call
+// A convolution pass counts as one GEMM of its m·n·k shape. Pool hit
+// rate = 1 - misses/gets. A nil registry is a no-op. Safe to call
 // while kernels are running; counts observed before the call are not
 // replayed into the registry.
 func EnableMetrics(reg *telemetry.Registry) {

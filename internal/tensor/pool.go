@@ -6,8 +6,9 @@ import (
 )
 
 // The scratch arena hands out pooled tensors for transient buffers on the
-// training hot path (im2col columns, GEMM products, packed panels,
-// transposes) so conv forward/backward stop allocating per batch.
+// training hot path (the convolution's padded input and panels, packed
+// GEMM panels, transposes) so conv forward/backward stop allocating per
+// batch.
 //
 // Buffers are binned by power-of-two capacity; GetTensor returns a tensor
 // whose backing slice comes from the smallest class that fits, and

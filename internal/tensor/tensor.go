@@ -1,5 +1,5 @@
 // Package tensor provides dense float64 tensors and the numeric kernels
-// (parallel matmul, im2col, reductions, initializers) that the neural
+// (parallel matmul, convolution, reductions, initializers) that the neural
 // network stack in internal/nn is built on.
 //
 // Tensors are row-major, backed by a flat []float64, and carry an explicit

@@ -241,6 +241,7 @@ func TestConvGeomValidate(t *testing.T) {
 		{InC: 3, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 0},
 		{InC: 3, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: -1},
 		{InC: 3, InH: 2, InW: 2, KH: 5, KW: 5, Stride: 1, Pad: 0},
+		{InC: 3, InH: 1, InW: 8, KH: 4, KW: 1, Stride: 3, Pad: 1},
 	}
 	for i, g := range bad {
 		if err := g.Validate(); err == nil {
