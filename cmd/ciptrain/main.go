@@ -114,9 +114,10 @@ func run() error {
 	var policy *fl.RoundPolicy
 	if robustAgg != nil || reputation != nil || *quorum > 0 || bank != nil || *sampleFlags.Frac > 0 {
 		policy = &fl.RoundPolicy{MinQuorum: *quorum, Robust: robustAgg, Reputation: reputation,
-			Compress: bank, SampleFraction: *sampleFlags.Frac}
+			Compress: bank, SampleFraction: *sampleFlags.Frac, SampleSeed: *sampleFlags.Seed}
 		if *sampleFlags.Frac > 0 && *sampleFlags.Frac < 1 {
-			fmt.Printf("client sampling: %.0f%% of the roster per round\n", 100**sampleFlags.Frac)
+			fmt.Printf("client sampling: %.0f%% of the roster per round (seed %d)\n",
+				100**sampleFlags.Frac, *sampleFlags.Seed)
 		}
 		if robustAgg != nil {
 			fmt.Printf("robust aggregation: %s\n", robustAgg.Name())

@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -24,7 +25,6 @@ import (
 	"github.com/cip-fl/cip/internal/fl/faults"
 	"github.com/cip-fl/cip/internal/model"
 	"github.com/cip-fl/cip/internal/nn"
-	"github.com/cip-fl/cip/internal/rng"
 )
 
 const (
@@ -34,9 +34,10 @@ const (
 
 // buildFederation constructs an identically seeded durable CIP federation:
 // stateful clients (serializable RNG, tracked data order, capturable
-// secret t) and a server whose client sampler runs on a serializable
-// source. Calling it twice yields two federations that, run the same way,
-// produce bit-identical results.
+// secret t) and a server that samples half the roster each round through
+// its RoundPolicy (stateless per (seed, round), so nothing about the
+// sampler needs checkpointing). Calling it twice yields two federations
+// that, run the same way, produce bit-identical results.
 func buildFederation(t *testing.T) *fl.Server {
 	t.Helper()
 	train, _, err := datasets.SyntheticImages(datasets.ImageConfig{
@@ -63,8 +64,7 @@ func buildFederation(t *testing.T) *fl.Server {
 			core.BlendSeed(1, i), int64(20+i))
 	}
 	srv := fl.NewServer(initial, clients...)
-	srv.SampleFraction = 0.5
-	srv.SamplerSrc = rng.NewSource(3)
+	srv.Policy = &fl.RoundPolicy{SampleFraction: 0.5, SampleSeed: 3}
 	return srv
 }
 
@@ -96,9 +96,6 @@ func assertBitIdentical(t *testing.T, want, got *fl.ServerState) {
 		if !bytes.Equal(blob, got.Clients[id]) {
 			t.Fatalf("client %d final state diverged — local training replay is not deterministic", id)
 		}
-	}
-	if want.SamplerState != got.SamplerState {
-		t.Fatalf("sampler state %d vs %d", want.SamplerState, got.SamplerState)
 	}
 }
 
@@ -266,4 +263,118 @@ func TestStopResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertBitIdentical(t, want, finalState(t, resumed))
+}
+
+// shardClient is a cheap stateless client: it moves the global toward its
+// own target, so which clients a round samples shows in the aggregate.
+type shardClient struct{ id int }
+
+func (c *shardClient) ID() int         { return c.id }
+func (c *shardClient) NumSamples() int { return 10 }
+func (c *shardClient) TrainLocal(_ int, global []float64) (fl.Update, error) {
+	p := make([]float64, len(global))
+	for i := range p {
+		p[i] = (global[i] + float64(c.id+1)) / 2
+	}
+	return fl.Update{Params: p, NumSamples: 10}, nil
+}
+func (c *shardClient) CaptureState() ([]byte, error) { return nil, nil }
+func (c *shardClient) RestoreState([]byte) error     { return nil }
+
+// sampledShards builds the six-client federation that samples half its
+// roster each round through RoundPolicy.
+func sampledShards() *fl.Server {
+	clients := make([]fl.Client, 6)
+	for i := range clients {
+		clients[i] = &shardClient{id: i}
+	}
+	srv := fl.NewServer([]float64{0}, clients...)
+	srv.Policy = &fl.RoundPolicy{SampleFraction: 0.5, SampleSeed: 5}
+	return srv
+}
+
+// TestSampledPolicyResumeBitIdentical kills a federation that samples half
+// its roster through RoundPolicy and resumes it from the snapshot: the
+// resumed run must draw the same cohorts and finish bit-identical to an
+// uninterrupted one, with nothing about the sampler in the snapshot.
+func TestSampledPolicyResumeBitIdentical(t *testing.T) {
+	build := sampledShards
+	const rounds = 6
+	want := build()
+	if err := want.Run(rounds); err != nil {
+		t.Fatal(err)
+	}
+
+	mgr := &checkpoint.Manager{Path: filepath.Join(t.TempDir(), "sampled.ckpt")}
+	save := func(st *fl.ServerState) error { return mgr.Save(&checkpoint.Snapshot{State: *st}) }
+	crashed := build()
+	err := crashed.RunWithOptions(rounds, fl.RunOptions{Save: save, AfterRound: faults.CrashAt(2)})
+	if !errors.Is(err, faults.ErrCrash) {
+		t.Fatalf("crashed run: got %v, want ErrCrash", err)
+	}
+	snap, err := mgr.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := build()
+	if err := resumed.RestoreState(&snap.State); err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Round() != 3 {
+		t.Fatalf("restored to round %d, want 3", resumed.Round())
+	}
+	if err := resumed.Run(rounds); err != nil {
+		t.Fatal(err)
+	}
+	if got, w := resumed.Global()[0], want.Global()[0]; got != w {
+		t.Fatalf("resumed global %v, uninterrupted %v: the resumed run sampled different cohorts", got, w)
+	}
+}
+
+// TestSnapshotWithSamplerStateResumes: snapshots written while the engine
+// still checkpointed a sampler RNG carry SamplerState/HasSampler. Such a
+// snapshot must still load, and resume exactly as a snapshot of the same
+// boundary without those fields does.
+func TestSnapshotWithSamplerStateResumes(t *testing.T) {
+	type samplerState struct {
+		NextRound    int
+		Global       []float64
+		SamplerState uint64
+		HasSampler   bool
+		Clients      map[int][]byte
+	}
+	legacy := struct {
+		Token string
+		State samplerState
+	}{State: samplerState{
+		NextRound: 3, Global: []float64{2.5}, SamplerState: 0x5eed, HasSampler: true,
+		Clients: map[int][]byte{},
+	}}
+	data, err := checkpoint.Encode(checkpoint.KindSnapshot, legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "legacy.ckpt")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := (&checkpoint.Manager{Path: path}).Load()
+	if err != nil {
+		t.Fatalf("loading a snapshot with sampler state: %v", err)
+	}
+	got, want := sampledShards(), sampledShards()
+	if err := got.RestoreState(&snap.State); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.RestoreState(&fl.ServerState{NextRound: 3, Global: []float64{2.5}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, srv := range []*fl.Server{got, want} {
+		if err := srv.Run(6); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if g, w := got.Global()[0], want.Global()[0]; g != w {
+		t.Fatalf("resumed from the sampler-state snapshot to %v, want %v", g, w)
+	}
 }

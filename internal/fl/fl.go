@@ -13,10 +13,8 @@ package fl
 import (
 	"errors"
 	"fmt"
-	"math/rand"
+	"sync/atomic"
 	"time"
-
-	"github.com/cip-fl/cip/internal/rng"
 )
 
 // Update is what a client returns from one round of local training.
@@ -76,25 +74,20 @@ type RoundObserver interface {
 // client. Returning nil keeps the genuine global parameters.
 type AlterFunc func(round int, clientID int, global []float64) []float64
 
-// Server coordinates FedAvg over a set of clients.
+// Server coordinates FedAvg over a set of clients. It is the in-process
+// adapter of the round core (RoundCore): a member produces its update by
+// TrainLocal on the parameters the core sends it.
 type Server struct {
 	Clients   []Client
 	Observers []RoundObserver
 	// Alter, when non-nil, may substitute the parameters each client
 	// receives (malicious-server active attacks).
 	Alter AlterFunc
-	// SampleFraction, when in (0, 1), trains only that fraction of clients
-	// per round (McMahan et al.'s client-sampling parameter C); 0 or ≥1
-	// trains everyone. SampleRng drives the selection (nil seeds from 0).
-	SampleFraction float64
-	SampleRng      *rand.Rand
-	// SamplerSrc, when set (and SampleRng is nil), drives client sampling
-	// through a serializable source so CaptureState can checkpoint the
-	// sampler's exact position (required for durable runs that sample).
-	SamplerSrc *rng.Source
 	// Policy, when non-nil, enables fault-tolerant rounds: failing or
 	// invalid clients are dropped and the round aggregates over the
-	// surviving quorum. Nil keeps fail-stop semantics.
+	// surviving quorum; its SampleFraction and SampleSeed sample a cohort
+	// per round. Nil keeps fail-stop semantics: every client trains, and
+	// the earliest failure in roster order aborts the round.
 	Policy *RoundPolicy
 	// Metrics, when non-nil, receives per-round telemetry (round
 	// duration, participating/dropped clients, validation rejections).
@@ -103,25 +96,19 @@ type Server struct {
 	// (each client owns its model, optimizer, and RNG, so local training is
 	// an independent map over participants). 0 means GOMAXPROCS. Results
 	// are bit-identical for every worker count: parameters are altered in
-	// a serial pre-pass, updates land in an index-addressed slice, and
-	// observers and aggregation run serially in roster order.
+	// a serial pre-pass, updates are taken in roster order, and observers
+	// and aggregation run serially afterwards.
 	Workers int
 
 	global []float64
-	// fold and spare are the pooled aggregation state: the fold's
-	// accumulator and the output buffer FinalizeInto fills, swapped with
-	// global each round so steady-state aggregation allocates nothing.
-	// Safe because TrainLocal contractually copies the broadcast
-	// parameters (training mutates them) and observers receive a fresh
-	// Global() snapshot, so nothing retains the swapped buffers.
-	fold  *Fold
-	spare []float64
+	// core runs every round. It pools the aggregation buffers (safe
+	// because TrainLocal contractually copies the broadcast parameters and
+	// observers receive a fresh copy) and holds the cumulative per-client
+	// failure counts, part of the durable state (ServerState).
+	core RoundCore[Client]
 	// round is the next round index to run; Run loops it up to its total,
 	// so a server restored from a checkpoint continues where it left off.
 	round int
-	// failCounts accumulates per-client failures across rounds under a
-	// RoundPolicy; it is part of the durable state (ServerState).
-	failCounts map[int]int
 }
 
 // NewServer creates a server with the given initial global parameters.
@@ -139,92 +126,33 @@ func (s *Server) Global() []float64 {
 }
 
 // RunRound executes one communication round: broadcast, local training on
-// the (possibly sampled) clients, then weighted FedAvg aggregation.
+// the (possibly sampled) clients, then aggregation.
 func (s *Server) RunRound(round int) error {
 	if len(s.Clients) == 0 {
 		return errors.New("fl: server has no clients")
 	}
 	start := time.Now()
-	participants := s.sampleClients()
-	if s.Policy != nil {
-		if err := s.runRoundQuorum(round, start, participants); err != nil {
-			return err
+	var busy atomic.Int64
+	c := &s.core
+	c.Policy, c.FailStop = s.Policy, s.Policy == nil
+	c.Observers, c.Alter, c.Metrics, c.Window = s.Observers, s.Alter, s.Metrics, s.Workers
+	c.Produce = func(round int, cl Client, params []float64) (Contribution, error) {
+		t0 := time.Now()
+		u, err := cl.TrainLocal(round, params)
+		busy.Add(int64(time.Since(t0)))
+		if err != nil {
+			return Contribution{}, fmt.Errorf("fl: client %d round %d: %w", cl.ID(), round, err)
 		}
-		s.round = round + 1
-		return nil
+		return Contribution{Update: u}, nil
 	}
-	outcomes, workers, busy := s.trainParticipants(round, participants)
-	updates := make([]Update, len(participants))
-	for i, c := range participants {
-		if err := outcomes[i].err; err != nil {
-			return fmt.Errorf("fl: client %d round %d: %w", c.ID(), round, err)
-		}
-		u := outcomes[i].update
-		if len(u.Params) != len(s.global) {
-			return fmt.Errorf("fl: client %d returned %d params, want %d",
-				c.ID(), len(u.Params), len(s.global))
-		}
-		updates[i] = u
+	out, err := c.Run(round, s.global, s.Clients)
+	if err != nil {
+		return err
 	}
-	for _, o := range s.Observers {
-		o.ObserveRound(round, s.Global(), updates)
-	}
-	if s.fold == nil || cap(s.spare) < len(s.global) {
-		s.fold = NewFold(len(s.global))
-		s.spare = make([]float64, len(s.global))
-	} else {
-		s.fold.Reset(len(s.global))
-		s.spare = s.spare[:len(s.global)]
-	}
-	for _, u := range updates {
-		if err := s.fold.Fold(u); err != nil {
-			return fmt.Errorf("fl: round %d: %w", round, err)
-		}
-	}
-	if err := s.fold.FinalizeInto(s.spare); err != nil {
-		return fmt.Errorf("fl: round %d: %w", round, err)
-	}
-	s.global, s.spare = s.spare, s.global
+	s.global = out.Global
 	s.round = round + 1
-	s.Metrics.RecordRound(start, len(updates), 0, len(s.global))
-	s.Metrics.RecordWorkerPool(workers, busy, time.Since(start))
+	s.Metrics.RecordWorkerPool(out.Workers, time.Duration(busy.Load()), time.Since(start))
 	return nil
-}
-
-// sampleClients returns this round's participants in stable ID order. The
-// Server-level SampleFraction wins; when unset, the RoundPolicy's knob
-// (the flag-wired spelling) applies.
-func (s *Server) sampleClients() []Client {
-	f := s.SampleFraction
-	if f <= 0 && s.Policy != nil {
-		f = s.Policy.SampleFraction
-	}
-	if f <= 0 || f >= 1 || len(s.Clients) < 2 {
-		return s.Clients
-	}
-	n := int(f*float64(len(s.Clients)) + 0.5)
-	if n < 1 {
-		n = 1
-	}
-	if s.SampleRng == nil {
-		if s.SamplerSrc != nil {
-			s.SampleRng = rand.New(s.SamplerSrc)
-		} else {
-			s.SampleRng = rand.New(rand.NewSource(0))
-		}
-	}
-	perm := s.SampleRng.Perm(len(s.Clients))[:n]
-	// Keep deterministic ordering so observers can index stably.
-	for i := 1; i < len(perm); i++ {
-		for j := i; j > 0 && perm[j] < perm[j-1]; j-- {
-			perm[j], perm[j-1] = perm[j-1], perm[j]
-		}
-	}
-	out := make([]Client, n)
-	for i, idx := range perm {
-		out[i] = s.Clients[idx]
-	}
-	return out
 }
 
 // Run executes communication rounds until the server has completed rounds

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"github.com/cip-fl/cip/internal/fl/compress"
 	"github.com/cip-fl/cip/internal/fl/robust"
@@ -61,14 +60,16 @@ type RoundPolicy struct {
 	// sampling is enabled), not the full client roster. Values < 1 are
 	// treated as 1.
 	MinQuorum int
-	// SampleFraction, when in (0, 1), trains only that sampled fraction of
-	// the roster each round (McMahan et al.'s client-sampling parameter C);
-	// 0 or ≥ 1 trains everyone. It is the policy-level spelling of
-	// Server.SampleFraction (the Server-level knob wins when both are set)
-	// and what the flserver/ciptrain -sample-frac flag populates. MinQuorum
-	// is checked against the sampled cohort, so f·roster must stay ≥ the
-	// quorum for rounds to proceed.
+	// SampleFraction, when in (0, 1), trains only a sampled cohort of
+	// ~fraction × roster each round (McMahan et al.'s client-sampling
+	// parameter C), weighted by each client's NumSamples and never below
+	// the quorum; 0 or ≥ 1 trains everyone. It is what the ciptrain
+	// -sample-frac flag populates. MinQuorum is checked against the cohort.
 	SampleFraction float64
+	// SampleSeed seeds the cohort sampler. Each round's cohort is a pure
+	// function of (SampleSeed, round), so there is no sampler state to
+	// checkpoint and a resumed federation replays the same cohorts.
+	SampleSeed int64
 	// MaxFailures, when > 0, additionally caps how many per-round client
 	// failures are tolerated even if the quorum is still met. 0 means no
 	// cap beyond the quorum check.
@@ -119,8 +120,8 @@ type FailureObserver interface {
 
 // ValidateUpdate rejects parameter vectors that would poison or crash the
 // aggregate: a length mismatch against the global model, or any NaN/Inf
-// entry. Both the in-process engine (under a RoundPolicy) and the TCP
-// transport run every update through this check. Sparse/delta updates
+// entry. The round core runs every update of both engines through it
+// (via ValidateUpdateBounded), fail-stop rounds included. Sparse/delta updates
 // delegate to ValidateSparse, which additionally enforces index
 // structure (range, ordering, no duplicates).
 func ValidateUpdate(u Update, wantLen int) error {
@@ -152,9 +153,8 @@ func UpdateNorm(u Update) float64 {
 }
 
 // ValidateUpdateBounded is ValidateUpdate plus an optional L2 norm bound
-// (maxNorm ≤ 0 disables it). Both the in-process engine (through
-// RoundPolicy.MaxUpdateNorm) and the TCP transport (through
-// Coordinator.MaxUpdateNorm) run updates through this check.
+// (maxNorm ≤ 0 disables it): RoundPolicy.MaxUpdateNorm in-process,
+// Coordinator.MaxUpdateNorm over TCP.
 func ValidateUpdateBounded(u Update, wantLen int, maxNorm float64) error {
 	if err := ValidateUpdate(u, wantLen); err != nil {
 		return err
@@ -231,28 +231,6 @@ type robustHeaders struct {
 
 var headerPool = sync.Pool{New: func() any { return new(robustHeaders) }}
 
-// splitQuarantined partitions participants into the clients eligible to
-// train this round and the ClientFailure records of those excluded by an
-// active quarantine. With no reputation tracker everything is eligible.
-func (p *RoundPolicy) splitQuarantined(round int, participants []Client) ([]Client, []ClientFailure) {
-	if p.Reputation == nil {
-		return participants, nil
-	}
-	eligible := make([]Client, 0, len(participants))
-	var excluded []ClientFailure
-	for _, c := range participants {
-		if p.Reputation.Blocked(c.ID()) {
-			excluded = append(excluded, ClientFailure{
-				ClientID: c.ID(), Round: round, Reason: FailQuarantined,
-				Err: fmt.Errorf("fl: client %d is quarantined", c.ID()),
-			})
-			continue
-		}
-		eligible = append(eligible, c)
-	}
-	return eligible, excluded
-}
-
 // scoreRound feeds one completed round into the reputation tracker: each
 // valid client's distance from the aggregate, then the round-boundary
 // EWMA fold and state-machine advance over every non-quarantined
@@ -277,90 +255,4 @@ func (p *RoundPolicy) scoreRound(agg []float64, valid []Update, failures []Clien
 		}
 	}
 	rep.EndRound(roundIDs)
-}
-
-// runRoundQuorum is RunRound under a RoundPolicy: exclude quarantined
-// clients, train every eligible participant, drop failures and invalid
-// updates, and aggregate over the surviving quorum — robustly when a
-// Byzantine-resilient rule is attached.
-func (s *Server) runRoundQuorum(round int, start time.Time, participants []Client) error {
-	eligible, failures := s.Policy.splitQuarantined(round, participants)
-	outcomes, workers, busy := s.trainParticipants(round, eligible)
-	// Classify outcomes serially in participant order, so the valid and
-	// failure lists (and everything downstream: observers, aggregation,
-	// reputation) are independent of worker interleaving.
-	valid := make([]Update, 0, len(eligible))
-	hardFailures := 0
-	for i, c := range eligible {
-		if err := outcomes[i].err; err != nil {
-			failures = append(failures, ClientFailure{
-				ClientID: c.ID(), Round: round, Reason: FailTrain, Err: err,
-			})
-			hardFailures++
-			continue
-		}
-		u := outcomes[i].update
-		if err := ValidateUpdateBounded(u, len(s.global), s.Policy.MaxUpdateNorm); err != nil {
-			s.Metrics.RecordValidationRejection()
-			if s.Policy.Reputation != nil {
-				s.Policy.Reputation.ObserveViolation(c.ID())
-			}
-			failures = append(failures, ClientFailure{
-				ClientID: c.ID(), Round: round, Reason: FailInvalid, Err: err,
-			})
-			hardFailures++
-			continue
-		}
-		if bank := s.Policy.Compress; bank != nil {
-			// Serial, roster-ordered: the error-feedback fold mutates
-			// per-client residual state, and determinism at any worker
-			// count requires a fixed application order.
-			params, wireBytes, err := bank.RoundTrip(c.ID(), s.global, u.Params)
-			if err != nil {
-				return fmt.Errorf("fl: round %d: %w", round, err)
-			}
-			u.Params = params
-			s.Metrics.RecordCompressedUpdate(wireBytes, 8*len(params))
-		}
-		valid = append(valid, u)
-	}
-	if hardFailures > 0 {
-		if s.failCounts == nil {
-			s.failCounts = make(map[int]int)
-		}
-		for _, f := range failures {
-			// Quarantine exclusions are policy decisions, not client
-			// failures; only genuine failures feed the cumulative counts.
-			if f.Reason != FailQuarantined {
-				s.failCounts[f.ClientID]++
-			}
-		}
-	}
-	if cap := s.Policy.MaxFailures; cap > 0 && hardFailures > cap {
-		return fmt.Errorf("fl: round %d: %d client failures exceed cap %d",
-			round, hardFailures, cap)
-	}
-	if q := s.Policy.quorum(); len(valid) < q {
-		return fmt.Errorf("fl: round %d: quorum lost: %d valid updates from %d participants, need %d",
-			round, len(valid), len(participants), q)
-	}
-	for _, o := range s.Observers {
-		if fo, ok := o.(FailureObserver); ok {
-			fo.ObserveFailures(round, failures)
-		}
-	}
-	for _, o := range s.Observers {
-		o.ObserveRound(round, s.Global(), valid)
-	}
-	agg, report, err := AggregateRobust(s.Policy.Robust, s.global, valid, s.Policy.quorum())
-	if err != nil {
-		return fmt.Errorf("fl: round %d: %w", round, err)
-	}
-	s.Policy.scoreRound(agg, valid, failures)
-	s.global = agg
-	s.Metrics.RecordRound(start, len(valid), len(failures), len(agg))
-	s.Metrics.RecordRobust(report)
-	s.Metrics.RecordReputation(s.Policy.Reputation)
-	s.Metrics.RecordWorkerPool(workers, busy, time.Since(start))
-	return nil
 }

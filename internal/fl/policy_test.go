@@ -3,7 +3,6 @@ package fl
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -137,9 +136,7 @@ func TestSampledRoundQuorumAgainstParticipants(t *testing.T) {
 	}
 	rec := &HistoryRecorder{}
 	srv := NewServer([]float64{0}, clients...)
-	srv.SampleFraction = 0.5
-	srv.SampleRng = rand.New(rand.NewSource(3))
-	srv.Policy = &RoundPolicy{MinQuorum: 3}
+	srv.Policy = &RoundPolicy{MinQuorum: 3, SampleFraction: 0.5, SampleSeed: 3}
 	srv.Observers = append(srv.Observers, rec)
 	// Worst case a round samples both failing clients: 3 of 5 participants
 	// still succeed, which meets MinQuorum=3. Every round must pass.

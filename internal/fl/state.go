@@ -3,9 +3,6 @@ package fl
 import (
 	"errors"
 	"fmt"
-	"math/rand"
-
-	"github.com/cip-fl/cip/internal/rng"
 )
 
 // ErrStopped is returned by RunWithOptions (and the transport coordinator)
@@ -29,18 +26,19 @@ type StatefulClient interface {
 
 // ServerState is everything the in-process engine needs to continue a
 // federation deterministically after process death: the next round index,
-// the global parameter vector, the client-sampler RNG state, the
-// cumulative per-client failure counters a RoundPolicy accumulates, and
-// each client's captured local state. internal/fl/checkpoint persists it.
+// the global parameter vector, the cumulative per-client failure counters
+// a RoundPolicy accumulates, and each client's captured local state.
+// Cohort sampling is stateless per (RoundPolicy.SampleSeed, round), so
+// there is no sampler state to carry; a snapshot that still carries the
+// retired SamplerState/HasSampler fields decodes (gob drops unknown
+// fields) and resumes under the stateless sampler. internal/fl/checkpoint
+// persists it.
 type ServerState struct {
 	// NextRound is the index of the first round that has not completed.
 	NextRound int
 	// Global is the aggregated global parameter vector after round
 	// NextRound-1.
 	Global []float64
-	// SamplerState is the client-sampling RNG state; valid iff HasSampler.
-	SamplerState uint64
-	HasSampler   bool
 	// FailCounts is the cumulative per-client failure count recorded under
 	// a RoundPolicy (nil when no failures were recorded).
 	FailCounts map[int]int
@@ -68,29 +66,17 @@ type ServerState struct {
 }
 
 // CaptureState snapshots the server at a round boundary. Every client must
-// implement StatefulClient, and an active client sampler must run on a
-// serializable source (SamplerSrc); otherwise the federation cannot be
-// resumed bit-identically and CaptureState says so instead of writing a
-// snapshot that silently would not.
+// implement StatefulClient; otherwise the federation cannot be resumed
+// bit-identically and CaptureState says so instead of writing a snapshot
+// that silently would not.
 func (s *Server) CaptureState() (*ServerState, error) {
 	st := &ServerState{
 		NextRound: s.round,
 		Global:    s.Global(),
 		Clients:   make(map[int][]byte, len(s.Clients)),
 	}
-	if s.samplingActive() {
-		if s.SamplerSrc == nil {
-			return nil, errors.New("fl: client sampling is active but SamplerSrc is unset; " +
-				"a stock rand.Rand cannot be checkpointed")
-		}
-		st.SamplerState = s.SamplerSrc.State()
-		st.HasSampler = true
-	}
-	if len(s.failCounts) > 0 {
-		st.FailCounts = make(map[int]int, len(s.failCounts))
-		for id, n := range s.failCounts {
-			st.FailCounts[id] = n
-		}
+	if len(s.core.FailCounts) > 0 {
+		st.FailCounts = s.FailureCounts()
 	}
 	if s.Policy != nil && s.Policy.Reputation != nil {
 		blob, err := s.Policy.Reputation.Snapshot()
@@ -127,13 +113,6 @@ func (s *Server) RestoreState(st *ServerState) error {
 	if len(st.Global) != len(s.global) {
 		return fmt.Errorf("fl: restoring %d global params onto a model with %d", len(st.Global), len(s.global))
 	}
-	if st.HasSampler {
-		if s.SamplerSrc == nil {
-			s.SamplerSrc = rng.NewSource(0)
-		}
-		s.SamplerSrc.SetState(st.SamplerState)
-		s.SampleRng = rand.New(s.SamplerSrc)
-	}
 	byID := make(map[int]StatefulClient, len(s.Clients))
 	for _, c := range s.Clients {
 		if sc, ok := c.(StatefulClient); ok {
@@ -161,13 +140,12 @@ func (s *Server) RestoreState(st *ServerState) error {
 	}
 	copy(s.global, st.Global)
 	s.round = st.NextRound
-	if st.FailCounts != nil {
-		s.failCounts = make(map[int]int, len(st.FailCounts))
-		for id, n := range st.FailCounts {
-			s.failCounts[id] = n
+	s.core.FailCounts = nil
+	for id, n := range st.FailCounts {
+		if s.core.FailCounts == nil {
+			s.core.FailCounts = make(map[int]int, len(st.FailCounts))
 		}
-	} else {
-		s.failCounts = nil
+		s.core.FailCounts[id] = n
 	}
 	return nil
 }
@@ -179,15 +157,11 @@ func (s *Server) Round() int { return s.round }
 // FailureCounts returns a copy of the cumulative per-client failure
 // counters accumulated under a RoundPolicy.
 func (s *Server) FailureCounts() map[int]int {
-	out := make(map[int]int, len(s.failCounts))
-	for id, n := range s.failCounts {
+	out := make(map[int]int, len(s.core.FailCounts))
+	for id, n := range s.core.FailCounts {
 		out[id] = n
 	}
 	return out
-}
-
-func (s *Server) samplingActive() bool {
-	return s.SampleFraction > 0 && s.SampleFraction < 1 && len(s.Clients) >= 2
 }
 
 // RunOptions configures a durable run: checkpoint cadence, the snapshot

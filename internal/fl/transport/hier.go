@@ -7,7 +7,6 @@ import (
 	"net"
 	"sort"
 
-	"github.com/cip-fl/cip/internal/fl"
 	"github.com/cip-fl/cip/internal/fl/wire"
 )
 
@@ -112,21 +111,8 @@ func (l *Leaf) RunWithListener(ln net.Listener, ready func(boundAddr string)) ([
 	case c.Checkpoint != nil || c.Restore != nil:
 		return nil, errors.New("transport: tree nodes are stateless; checkpoint the root instead")
 	}
-	s := &session{
-		c:            c,
-		global:       append([]float64(nil), c.Initial...),
-		failCounts:   make(map[int]int),
-		durable:      -1,
-		wantPartial:  true,
-		leafID:       l.ID,
-		lastCoverage: 1,
-	}
-	if acc, ok := c.streamingAccumulator(); ok {
-		s.acc = acc
-		s.fold = acc.(*fl.Fold) // Robust is nil, so the accumulator is the mean fold
-	} else {
-		s.fold = fl.NewFold(len(c.Initial))
-	}
+	s := newSession(c, append([]float64(nil), c.Initial...), nil)
+	s.durable, s.leafID, s.core.PartialOut = -1, l.ID, true
 
 	if ready != nil {
 		ready(ln.Addr().String())

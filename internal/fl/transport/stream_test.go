@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -83,6 +85,50 @@ func TestStreamingMatchesBufferedBitExact(t *testing.T) {
 				t.Fatalf("window %d coord %d: streaming %v != buffered %v", w, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// failClient fails its local training from round failAt on; RunClient
+// then drops its connection mid-exchange.
+type failClient struct {
+	vecClient
+	failAt int
+}
+
+func (c *failClient) TrainLocal(round int, global []float64) (fl.Update, error) {
+	if round >= c.failAt {
+		return fl.Update{}, errors.New("injected training failure")
+	}
+	return c.vecClient.TrainLocal(round, global)
+}
+
+// TestFailStopAbortDrainsWindow: in fail-stop mode (MinQuorum 0) a member
+// lost mid-round aborts the federation with that member's error, even
+// with other exchanges admitted to a narrow window, and the abort leaves
+// no goroutine behind — window workers, exchanges and clients all end.
+func TestFailStopAbortDrainsWindow(t *testing.T) {
+	expectNoGoroutineLeak(t)
+	const n = 5
+	addr, wait := startCoordinator(t, &Coordinator{
+		NumClients: n, Rounds: 4, Initial: []float64{1, -2, 3},
+		MaxInflightUpdates: 2,
+	})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		var c fl.Client = &vecClient{id: i, samples: 1 + i}
+		if i == 1 {
+			c = &failClient{vecClient: vecClient{id: i, samples: 2}, failAt: 2}
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			RunClient(addr, c) //nolint:errcheck — the coordinator aborts under them
+		}()
+	}
+	_, err := wait()
+	wg.Wait()
+	if err == nil || !strings.Contains(err.Error(), "client 1") {
+		t.Fatalf("coordinator error %v, want the abort naming client 1", err)
 	}
 }
 

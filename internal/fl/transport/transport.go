@@ -186,9 +186,9 @@ type Coordinator struct {
 	// every client exchanges concurrently and updates fold in client-ID
 	// order.
 	MaxInflightUpdates int
-	// BufferRounds forces the legacy buffered round path (materialize
-	// every update, then aggregate) even for configurations the streaming
-	// fold could serve. The scale harness uses it as its baseline.
+	// BufferRounds keeps every update of a round in memory (the buffered
+	// sink) even for configurations the streaming fold could serve. The
+	// scale harness uses it as its baseline.
 	BufferRounds bool
 	// MaxBufferedUpdates caps the cohort size a buffered round may
 	// materialize (0 = unlimited). Median/TrimmedMean, observers, and
@@ -199,8 +199,10 @@ type Coordinator struct {
 	// SampleFraction, when in (0, 1), samples a per-round cohort of
 	// ~fraction × roster from the registered population: weighted without
 	// replacement by each client's NumSamples, deterministic given
-	// (SampleSeed, round), never below the quorum. Unsampled clients
-	// simply receive no round frame and stay blocked on their next read.
+	// (SampleSeed, round), never below the quorum — the same sampler, and
+	// the same cohorts, as fl.RoundPolicy in-process. Fail-stop rounds
+	// (MinQuorum 0) never sample. Unsampled clients simply receive no
+	// round frame and stay blocked on their next read.
 	SampleFraction float64
 	// SampleSeed seeds the cohort sampler; the per-round stream is
 	// derived statelessly from (SampleSeed, round), so a restarted
@@ -336,6 +338,10 @@ type clientConn struct {
 	hadToken bool
 }
 
+// ID and NumSamples make a connection an fl.Member of the round core.
+func (cc *clientConn) ID() int         { return cc.id }
+func (cc *clientConn) NumSamples() int { return cc.samples }
+
 // newConnReader sizes one connection's buffered reader. The default 4 KiB
 // is right for a handful of TCP peers; a 100k-connection load harness
 // shrinks it so roster memory stays proportional to the window, not the
@@ -350,14 +356,15 @@ func newConnReader(r io.Reader, size int) *bufio.Reader {
 // decodeUpdateFrame is the byte-budgeted inbound path for one client
 // update: read one frame under the byte budget, structurally decode it,
 // densify any compressed shape against the broadcast global (which
-// performs the semantic sparse-index validation), stamp the authoritative
-// client ID (clients cannot impersonate others in the per-round observer
-// view), and validate. Hostile bytes can only produce an error —
+// performs the semantic sparse-index validation), and stamp the
+// authoritative client ID (clients cannot impersonate others in the
+// per-round observer view). The round core validates the result. Hostile
+// bytes can only produce an error —
 // wire.ReadFrame checks declared lengths against the budget before
 // allocating and wire.DecodeUpdate runs under a panic guard (fuzzed by
 // FuzzDecodeFrame).
 func decodeUpdateFrame(r io.Reader, lim *budgetReader, budget int64, accepted compress.Mode,
-	clientID int, global []float64, maxNorm float64) (fl.Update, compress.Mode, error) {
+	clientID int, global []float64) (fl.Update, compress.Mode, error) {
 	lim.allow(wire.HeaderLen + budget)
 	f, err := wire.ReadFrame(r, int(budget))
 	if err != nil {
@@ -386,9 +393,6 @@ func decodeUpdateFrame(r io.Reader, lim *budgetReader, budget int64, accepted co
 	if u, err = fl.Densify(u, global); err != nil {
 		return fl.Update{}, f.Mode, errInvalid{err}
 	}
-	if err := fl.ValidateUpdateBounded(u, len(global), maxNorm); err != nil {
-		return fl.Update{}, f.Mode, errInvalid{err}
-	}
 	return u, f.Mode, nil
 }
 
@@ -402,87 +406,71 @@ type roundCtx struct {
 	bcast   []byte
 	timeout time.Duration
 	budget  int64
-	maxNorm float64
 	met     *Metrics
 }
 
-// sendRound writes the round's broadcast frame to one connection.
-func (cc *clientConn) sendRound(rc *roundCtx) error {
-	if _, err := cc.w.Write(rc.bcast); err != nil {
-		return fmt.Errorf("transport: sending round %d to client %d: %w", rc.round, cc.id, err)
-	}
-	return nil
-}
-
-// exchange runs one round against one client: send the round frame, wait
-// for the (possibly compressed) update, validate it. RoundTimeout (when
-// set) covers the whole exchange through connection deadlines.
-func (cc *clientConn) exchange(rc *roundCtx, out *fl.Update) error {
+// exchange runs one round against one member: send the round frame, then
+// read its answer — a (possibly compressed) update from a client, a
+// partial from a child aggregator — decoded but not yet validated, which
+// is the round core's job. RoundTimeout (when set) covers the whole
+// exchange through connection deadlines.
+func (cc *clientConn) exchange(rc *roundCtx) (fl.Contribution, error) {
 	if rc.timeout > 0 {
 		cc.conn.SetDeadline(time.Now().Add(rc.timeout)) //nolint:errcheck
 		defer cc.conn.SetDeadline(time.Time{})          //nolint:errcheck
 	}
-	if err := cc.sendRound(rc); err != nil {
-		return err
+	if _, err := cc.w.Write(rc.bcast); err != nil {
+		return fl.Contribution{}, fmt.Errorf("transport: sending round %d to client %d: %w", rc.round, cc.id, err)
 	}
-	u, mode, err := decodeUpdateFrame(cc.br, cc.lim, rc.budget, cc.cfg.Mode, cc.id, rc.global, rc.maxNorm)
+	if cc.partial {
+		p, err := cc.readPartial(rc)
+		return fl.Contribution{Partial: p, IsPartial: true}, err
+	}
+	u, mode, err := decodeUpdateFrame(cc.br, cc.lim, rc.budget, cc.cfg.Mode, cc.id, rc.global)
 	if err != nil {
 		if !errors.As(err, &errInvalid{}) {
 			rc.met.decodeFailure()
-			return fmt.Errorf("transport: reading update from client %d: %w", cc.id, err)
+			return fl.Contribution{}, fmt.Errorf("transport: reading update from client %d: %w", cc.id, err)
 		}
-		return fmt.Errorf("transport: round %d: %w", rc.round, err)
+		return fl.Contribution{}, fmt.Errorf("transport: round %d: %w", rc.round, err)
 	}
 	if mode != compress.None {
 		rc.met.compressedUpdate()
 	}
-	*out = u
-	return nil
+	return fl.Contribution{Update: u}, nil
 }
 
-// exchangePartial is the parent side of one child exchange: broadcast the
-// round frame, then read the MsgPartial2 carrying the child's pre-division
-// weighted sums, structurally decoded and semantically validated (round
-// match, weight/count positivity, finiteness, implied-mean norm bound).
-func (cc *clientConn) exchangePartial(rc *roundCtx, out *fl.Partial) error {
-	if rc.timeout > 0 {
-		cc.conn.SetDeadline(time.Now().Add(rc.timeout)) //nolint:errcheck
-		defer cc.conn.SetDeadline(time.Time{})          //nolint:errcheck
-	}
-	if err := cc.sendRound(rc); err != nil {
-		return err
-	}
+// readPartial reads a child aggregator's MsgPartial2 answer: its
+// pre-division weighted sums, structurally decoded and checked for the
+// round.
+func (cc *clientConn) readPartial(rc *roundCtx) (fl.Partial, error) {
 	cc.lim.allow(wire.HeaderLen + rc.budget)
 	f, err := wire.ReadFrame(cc.br, int(rc.budget))
 	if err != nil {
 		if errors.Is(err, wire.ErrBudget) || errors.Is(err, wire.ErrPayload) ||
 			errors.Is(err, wire.ErrTruncated) {
-			return fmt.Errorf("transport: round %d: %w", rc.round, errInvalid{err})
+			return fl.Partial{}, fmt.Errorf("transport: round %d: %w", rc.round, errInvalid{err})
 		}
 		rc.met.decodeFailure()
-		return fmt.Errorf("transport: reading partial from leaf %d: %w", cc.id, err)
+		return fl.Partial{}, fmt.Errorf("transport: reading partial from leaf %d: %w", cc.id, err)
 	}
 	defer f.Release()
 	if f.Type != wire.MsgPartial2 {
-		return fmt.Errorf("transport: round %d: %w", rc.round,
+		return fl.Partial{}, fmt.Errorf("transport: round %d: %w", rc.round,
 			errInvalid{fmt.Errorf("wire: expected partial frame, got type %d", f.Type)})
 	}
 	p, err := wire.DecodePartial2(f.Payload)
 	if err != nil {
-		return fmt.Errorf("transport: round %d: %w", rc.round, errInvalid{err})
+		return fl.Partial{}, fmt.Errorf("transport: round %d: %w", rc.round, errInvalid{err})
 	}
 	// The leaf ID is stamped from the authenticated connection, so one
 	// leaf cannot impersonate another in failure accounting.
 	p.LeafID = cc.id
 	if p.Round != rc.round {
-		return fmt.Errorf("transport: round %d: %w", rc.round,
+		return fl.Partial{}, fmt.Errorf("transport: round %d: %w", rc.round,
 			errInvalid{fmt.Errorf("fl: leaf %d sent a partial for round %d", cc.id, p.Round)})
 	}
-	if err := fl.ValidatePartial(p, len(rc.global), rc.maxNorm); err != nil {
-		return fmt.Errorf("transport: round %d: %w", rc.round, errInvalid{err})
-	}
-	*out = p
-	return nil
+	return p, nil
 }
 
 // errInvalid tags validation failures so failureReason can classify them.

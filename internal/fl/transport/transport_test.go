@@ -88,7 +88,7 @@ func TestLoopbackFederationMatchesInProcess(t *testing.T) {
 		t.Fatalf("global length %d != reference %d", len(global), len(refGlobal))
 	}
 	for i := range global {
-		if math.Abs(global[i]-refGlobal[i]) > 1e-9 {
+		if math.Float64bits(global[i]) != math.Float64bits(refGlobal[i]) {
 			t.Fatalf("networked and in-process runs diverged at %d: %v vs %v",
 				i, global[i], refGlobal[i])
 		}
