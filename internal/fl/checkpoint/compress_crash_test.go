@@ -21,7 +21,7 @@ import (
 
 func bankFederation(t *testing.T) *fl.Server {
 	t.Helper()
-	srv := buildFederation(t)
+	srv := buildFederation(t, true)
 	srv.Policy = &fl.RoundPolicy{
 		MinQuorum: 1,
 		Compress:  compress.NewBank(compress.Config{Mode: compress.TopKQ16, TopKFrac: 0.25}),
@@ -48,7 +48,7 @@ func TestCrashResumeCompressedBankBitIdentical(t *testing.T) {
 
 	// The compression must be in the loop: a dense run of the same
 	// federation lands somewhere else.
-	dense := buildFederation(t)
+	dense := buildFederation(t, true)
 	if err := dense.Run(harnessRounds); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestRestoreRejectsBankConfigMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other := buildFederation(t)
+	other := buildFederation(t, true)
 	other.Policy = &fl.RoundPolicy{
 		MinQuorum: 1,
 		Compress:  compress.NewBank(compress.Config{Mode: compress.Q8}),

@@ -34,11 +34,13 @@ const (
 
 // buildFederation constructs an identically seeded durable CIP federation:
 // stateful clients (serializable RNG, tracked data order, capturable
-// secret t) and a server that samples half the roster each round through
-// its RoundPolicy (stateless per (seed, round), so nothing about the
-// sampler needs checkpointing). Calling it twice yields two federations
-// that, run the same way, produce bit-identical results.
-func buildFederation(t *testing.T) *fl.Server {
+// secret t) and a server that, when sampled, samples half the roster each
+// round through its RoundPolicy (stateless per (seed, round), so nothing
+// about the sampler needs checkpointing) and otherwise runs fail-stop
+// rounds over every client (no policy, the ciptrain -checkpoint default).
+// Calling it twice yields two federations that, run the same way, produce
+// bit-identical results.
+func buildFederation(t *testing.T, sampled bool) *fl.Server {
 	t.Helper()
 	train, _, err := datasets.SyntheticImages(datasets.ImageConfig{
 		Classes: 3, Train: 60, Test: 30, C: 1, H: 6, W: 6,
@@ -64,7 +66,9 @@ func buildFederation(t *testing.T) *fl.Server {
 			core.BlendSeed(1, i), int64(20+i))
 	}
 	srv := fl.NewServer(initial, clients...)
-	srv.Policy = &fl.RoundPolicy{SampleFraction: 0.5, SampleSeed: 3}
+	if sampled {
+		srv.Policy = &fl.RoundPolicy{SampleFraction: 0.5, SampleSeed: 3}
+	}
 	return srv
 }
 
@@ -101,9 +105,9 @@ func assertBitIdentical(t *testing.T, want, got *fl.ServerState) {
 
 // runBaseline runs an uninterrupted durable federation to completion and
 // returns its final state.
-func runBaseline(t *testing.T, every int) *fl.ServerState {
+func runBaseline(t *testing.T, every int, sampled bool) *fl.ServerState {
 	t.Helper()
-	srv := buildFederation(t)
+	srv := buildFederation(t, sampled)
 	mgr := &checkpoint.Manager{Path: filepath.Join(t.TempDir(), "base.ckpt")}
 	err := srv.RunWithOptions(harnessRounds, fl.RunOptions{
 		CheckpointEvery: every,
@@ -133,43 +137,51 @@ func TestCrashResumeBitIdenticalInProcess(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want := runBaseline(t, tc.every)
+			for _, sampled := range []bool{false, true} {
+				name := "fail-stop"
+				if sampled {
+					name = "sampled"
+				}
+				t.Run(name, func(t *testing.T) {
+					want := runBaseline(t, tc.every, sampled)
 
-			mgr := &checkpoint.Manager{Path: filepath.Join(t.TempDir(), "state.ckpt")}
-			save := func(st *fl.ServerState) error {
-				return mgr.Save(&checkpoint.Snapshot{State: *st})
-			}
+					mgr := &checkpoint.Manager{Path: filepath.Join(t.TempDir(), "state.ckpt")}
+					save := func(st *fl.ServerState) error {
+						return mgr.Save(&checkpoint.Snapshot{State: *st})
+					}
 
-			crashed := buildFederation(t)
-			err := crashed.RunWithOptions(harnessRounds, fl.RunOptions{
-				CheckpointEvery: tc.every,
-				Save:            save,
-				AfterRound:      faults.CrashAt(tc.crashAfter),
-			})
-			if !errors.Is(err, faults.ErrCrash) {
-				t.Fatalf("crashed run: got %v, want ErrCrash", err)
-			}
+					crashed := buildFederation(t, sampled)
+					err := crashed.RunWithOptions(harnessRounds, fl.RunOptions{
+						CheckpointEvery: tc.every,
+						Save:            save,
+						AfterRound:      faults.CrashAt(tc.crashAfter),
+					})
+					if !errors.Is(err, faults.ErrCrash) {
+						t.Fatalf("crashed run: got %v, want ErrCrash", err)
+					}
 
-			// Process death: everything in memory is gone. Rebuild the
-			// federation from its seeds and restore from disk.
-			resumed := buildFederation(t)
-			snap, err := mgr.Load()
-			if err != nil {
-				t.Fatal(err)
+					// Process death: everything in memory is gone. Rebuild the
+					// federation from its seeds and restore from disk.
+					resumed := buildFederation(t, sampled)
+					snap, err := mgr.Load()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := resumed.RestoreState(&snap.State); err != nil {
+						t.Fatal(err)
+					}
+					if resumed.Round() != tc.resumeRound {
+						t.Fatalf("restored to round %d, want %d", resumed.Round(), tc.resumeRound)
+					}
+					err = resumed.RunWithOptions(harnessRounds, fl.RunOptions{
+						CheckpointEvery: tc.every, Save: save,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertBitIdentical(t, want, finalState(t, resumed))
+				})
 			}
-			if err := resumed.RestoreState(&snap.State); err != nil {
-				t.Fatal(err)
-			}
-			if resumed.Round() != tc.resumeRound {
-				t.Fatalf("restored to round %d, want %d", resumed.Round(), tc.resumeRound)
-			}
-			err = resumed.RunWithOptions(harnessRounds, fl.RunOptions{
-				CheckpointEvery: tc.every, Save: save,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertBitIdentical(t, want, finalState(t, resumed))
 		})
 	}
 }
@@ -180,14 +192,14 @@ func TestCrashResumeBitIdenticalInProcess(t *testing.T) {
 // previous generation, replay the extra round deterministically, and
 // still finish bit-identical.
 func TestCrashResumeSurvivesTornSnapshot(t *testing.T) {
-	want := runBaseline(t, 1)
+	want := runBaseline(t, 1, true)
 
 	mgr := &checkpoint.Manager{Path: filepath.Join(t.TempDir(), "state.ckpt")}
 	save := func(st *fl.ServerState) error {
 		return mgr.Save(&checkpoint.Snapshot{State: *st})
 	}
 
-	crashed := buildFederation(t)
+	crashed := buildFederation(t, true)
 	err := crashed.RunWithOptions(harnessRounds, fl.RunOptions{
 		CheckpointEvery: 1,
 		Save:            save,
@@ -201,7 +213,7 @@ func TestCrashResumeSurvivesTornSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resumed := buildFederation(t)
+	resumed := buildFederation(t, true)
 	snap, err := mgr.Load()
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +235,7 @@ func TestCrashResumeSurvivesTornSnapshot(t *testing.T) {
 // handlers use: Stop ends the run at a round boundary with a final
 // snapshot, and a later resume finishes bit-identically.
 func TestStopResumeBitIdentical(t *testing.T) {
-	want := runBaseline(t, 2)
+	want := runBaseline(t, 2, true)
 
 	mgr := &checkpoint.Manager{Path: filepath.Join(t.TempDir(), "state.ckpt")}
 	save := func(st *fl.ServerState) error {
@@ -231,7 +243,7 @@ func TestStopResumeBitIdentical(t *testing.T) {
 	}
 
 	stop := make(chan struct{})
-	stopped := buildFederation(t)
+	stopped := buildFederation(t, true)
 	err := stopped.RunWithOptions(harnessRounds, fl.RunOptions{
 		CheckpointEvery: 2,
 		Save:            save,
@@ -247,7 +259,7 @@ func TestStopResumeBitIdentical(t *testing.T) {
 		t.Fatalf("stopped run: got %v, want ErrStopped", err)
 	}
 
-	resumed := buildFederation(t)
+	resumed := buildFederation(t, true)
 	snap, err := mgr.Load()
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@ package fl
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"time"
 )
@@ -135,7 +136,12 @@ func (s *Server) RunRound(round int) error {
 	var busy atomic.Int64
 	c := &s.core
 	c.Policy, c.FailStop = s.Policy, s.Policy == nil
-	c.Observers, c.Alter, c.Metrics, c.Window = s.Observers, s.Alter, s.Metrics, s.Workers
+	// The whole cohort is admitted (Window 0): a free worker takes the
+	// next client instead of waiting on a slow one at the roster's head.
+	c.Observers, c.Alter, c.Metrics, c.Workers = s.Observers, s.Alter, s.Metrics, s.Workers
+	if c.Workers <= 0 {
+		c.Workers = runtime.GOMAXPROCS(0)
+	}
 	c.Produce = func(round int, cl Client, params []float64) (Contribution, error) {
 		t0 := time.Now()
 		u, err := cl.TrainLocal(round, params)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -23,7 +21,7 @@ import (
 //
 //  1. quarantine split (reputation-blocked members sit the round out);
 //  2. cohort sampling (sampleCohort, stateless per (seed, round));
-//  3. ordered-window collection: up to Window members produce at once,
+//  3. ordered-window collection: up to Workers members produce at once,
 //     results are taken in roster order (collect);
 //  4. validation and failure classification, with cumulative fail counts;
 //  5. quorum and fail-stop;
@@ -35,7 +33,7 @@ import (
 // Determinism (DESIGN.md §9): AlterFunc runs in a serial pre-pass in
 // roster order, results are consumed in roster order whatever the arrival
 // timing, and observers and aggregation run serially afterwards — so the
-// outcome is bit-identical for every Window.
+// outcome is bit-identical for every Workers and Window.
 
 // Member is one roster entry of a round: every Client is one, and so is a
 // transport connection. NumSamples weights cohort sampling.
@@ -65,7 +63,7 @@ type RoundOutcome struct {
 	// Failures lists the members dropped this round: quarantined ones
 	// first, then collection failures in roster order.
 	Failures []ClientFailure
-	// Workers is the collection window the round ran with.
+	// Workers is the number of members the round let produce at once.
 	Workers int
 }
 
@@ -84,7 +82,14 @@ type RoundCore[M Member] struct {
 	Alter AlterFunc
 	// Metrics receives the round telemetry (nil disables it).
 	Metrics *Metrics
-	// Window bounds how many members produce at once (≤ 0: GOMAXPROCS).
+	// Workers bounds how many members produce at once (≤ 0: one per
+	// admitted member).
+	Workers int
+	// Window bounds how many members a streaming round admits but has not
+	// consumed yet, so at most Window results are live (≤ 0: the whole
+	// cohort). A round that keeps its updates admits the whole cohort: it
+	// holds every update anyway, and a slow member at the head of the
+	// window must not hold back the members behind it.
 	Window int
 	// Buffer keeps every update even when a streaming fold could serve.
 	Buffer bool
@@ -100,7 +105,7 @@ type RoundCore[M Member] struct {
 	FailCounts map[int]int
 
 	// Produce makes one member's contribution from the parameters it is
-	// sent. It runs concurrently for up to Window members.
+	// sent. It runs concurrently for up to Workers members.
 	Produce func(round int, m M, params []float64) (Contribution, error)
 	// Failed, when set, classifies a failed member (nil: FailTrain) and
 	// does the engine's bookkeeping for it. Called in roster order on
@@ -125,11 +130,13 @@ type RoundCore[M Member] struct {
 	// fold and spare are the pooled weighted-mean state: the accumulator
 	// and the buffer the next mean is finalized into, swapped with the
 	// caller's global each round so steady-state aggregation allocates
-	// nothing. stream is the cached accumulator of a streaming robust rule.
-	fold       Fold
-	spare      []float64
-	stream     Accumulator
-	streamRule robust.Aggregator
+	// nothing. stream is the accumulator of a streaming robust rule, built
+	// for streamPolicy's rule streamRule.
+	fold         Fold
+	spare        []float64
+	stream       Accumulator
+	streamPolicy *RoundPolicy
+	streamRule   robust.Aggregator
 }
 
 var zeroPolicy RoundPolicy
@@ -174,12 +181,15 @@ func (e *RoundCore[M]) Run(round int, global []float64, roster []M) (RoundOutcom
 		valid = make([]Update, 0, len(cohort))
 	}
 	nValid, hard := 0, 0
-	w := e.Window
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+	admit := len(cohort)
+	if e.Window > 0 && !keep {
+		admit = min(e.Window, admit)
 	}
-	w = min(w, len(cohort))
-	peak, err := e.collect(round, global, cohort, params, w, p.MaxUpdateNorm, func(m M, sl *slot) error {
+	workers := admit
+	if e.Workers > 0 {
+		workers = min(e.Workers, admit)
+	}
+	peak, err := e.collect(round, global, cohort, params, workers, admit, p.MaxUpdateNorm, func(m M, sl *slot) error {
 		err := sl.err
 		if err == nil && !sl.c.IsPartial && p.Compress != nil {
 			// Serial and roster-ordered: the error-feedback fold mutates
@@ -223,7 +233,7 @@ func (e *RoundCore[M]) Run(round int, global []float64, roster []M) (RoundOutcom
 		return RoundOutcome{}, fmt.Errorf("fl: round %d: %d client failures exceed cap %d",
 			round, hard, limit)
 	}
-	out := RoundOutcome{Failures: failures, Workers: w}
+	out := RoundOutcome{Failures: failures, Workers: workers}
 	if nValid < q {
 		if !e.PartialOut || nValid == 0 {
 			return RoundOutcome{}, fmt.Errorf("fl: round %d: quorum lost: %d valid updates from %d participants, need %d",
@@ -274,20 +284,15 @@ func (e *RoundCore[M]) sink(p *RoundPolicy) (acc Accumulator, keep bool) {
 	if rule := p.Robust; rule == nil {
 		acc = &e.fold
 	} else {
-		if !sameRule(e.streamRule, rule) {
+		// The rules are comparable values, so a rule swapped into the
+		// same policy is caught too.
+		if p != e.streamPolicy || rule != e.streamRule {
 			e.stream, _ = NewAccumulator(rule)
-			e.streamRule = rule
+			e.streamPolicy, e.streamRule = p, rule
 		}
 		acc = e.stream
 	}
 	return acc, e.Buffer || len(e.Observers) > 0 || p.Reputation != nil || acc == nil
-}
-
-// sameRule reports whether two robust rules are the same value, without
-// panicking on rule types that are not comparable.
-func sameRule(a, b robust.Aggregator) bool {
-	ta := reflect.TypeOf(a)
-	return a != nil && ta == reflect.TypeOf(b) && ta.Comparable() && a == b
 }
 
 // aggregate finishes the round from its sink. It returns the center the
@@ -390,11 +395,11 @@ func (e *RoundCore[M]) produce(round int, m M, params []float64, dim int, maxNor
 	return slot{c: c, err: err, invalid: invalid, done: true}
 }
 
-// collect is the one collection loop. A pool of w workers claims cohort
+// collect is the one collection loop. A pool of workers claims cohort
 // positions from a shared counter; the ordered-admission gate keeps at
-// most w positions admitted but unconsumed (position i starts only once
-// i < base+w), so at most ~w results are ever live; this goroutine hands
-// each result to handle in strict roster order. The order — and so every
+// most admit positions admitted but unconsumed (position i starts only
+// once i < base+admit), so at most admit results are ever live; this
+// goroutine hands each result to handle in strict roster order. The order — and so every
 // floating-point fold — is the cohort's whatever the arrival timing.
 //
 // Deadlock-freedom: the consumer only waits on position base, and base
@@ -402,7 +407,7 @@ func (e *RoundCore[M]) produce(round int, m M, params []float64, dim int, maxNor
 // from handle aborts: gate waiters are released, Abort cuts in-flight
 // production, and the pool is drained before collect returns, so no
 // worker outlives the round.
-func (e *RoundCore[M]) collect(round int, global []float64, cohort []M, params [][]float64, w int,
+func (e *RoundCore[M]) collect(round int, global []float64, cohort []M, params [][]float64, workers, admit int,
 	maxNorm float64, handle func(m M, sl *slot) error) (int, error) {
 	if len(cohort) == 0 {
 		return 0, nil
@@ -410,7 +415,7 @@ func (e *RoundCore[M]) collect(round int, global []float64, cohort []M, params [
 	var (
 		mu       sync.Mutex
 		cond     = sync.NewCond(&mu)
-		ring     = make([]slot, w)
+		ring     = make([]slot, admit)
 		base     int
 		claimed  = int64(-1)
 		aborted  bool
@@ -423,7 +428,7 @@ func (e *RoundCore[M]) collect(round int, global []float64, cohort []M, params [
 			e.Inflight(n)
 		}
 	}
-	for i := 0; i < w; i++ {
+	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -433,7 +438,7 @@ func (e *RoundCore[M]) collect(round int, global []float64, cohort []M, params [
 					return
 				}
 				mu.Lock()
-				for pos >= base+w && !aborted {
+				for pos >= base+admit && !aborted {
 					cond.Wait()
 				}
 				if aborted {
@@ -450,9 +455,9 @@ func (e *RoundCore[M]) collect(round int, global []float64, cohort []M, params [
 				}
 				sl := e.produce(round, cohort[pos], in, len(global), maxNorm)
 				// Ring slots cannot collide: the gate bounds live positions
-				// to [base, base+w), which map to distinct slots mod w.
+				// to [base, base+admit), distinct slots mod admit.
 				mu.Lock()
-				ring[pos%w] = sl
+				ring[pos%admit] = sl
 				cond.Broadcast()
 				mu.Unlock()
 			}
@@ -460,11 +465,11 @@ func (e *RoundCore[M]) collect(round int, global []float64, cohort []M, params [
 	}
 	for pos, m := range cohort {
 		mu.Lock()
-		for !ring[pos%w].done {
+		for !ring[pos%admit].done {
 			cond.Wait()
 		}
-		sl := ring[pos%w]
-		ring[pos%w] = slot{}
+		sl := ring[pos%admit]
+		ring[pos%admit] = slot{}
 		mu.Unlock()
 		if err := handle(m, &sl); err != nil {
 			mu.Lock()
