@@ -4,7 +4,7 @@ FUZZTIME ?= 10s
 # whatever `staticcheck` is on PATH (and skip cleanly when there is none).
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test race vet staticcheck crosscheck fuzz chaos treechaos chaossmoke byzantine byzsmoke bench benchrobust benchsmoke wirecheck benchwire benchscale scalegate benchprecision benchtree check
+.PHONY: build test race racefull vet staticcheck crosscheck fuzz chaos treechaos chaossmoke byzantine byzsmoke bench benchrobust benchsmoke wirecheck benchwire benchscale scalegate benchprecision benchtree check
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,14 @@ crosscheck:
 # still runs under race here.
 race:
 	$(GO) test -race -short -timeout 20m ./...
+
+# racefull is the race detector without -short: it adds the heavyweight
+# experiment replays, which train every model through step arenas that the
+# race build fills with NaN on each hand-out, so a layer that reads storage
+# it did not write shows up there too. It runs far longer than `race` and
+# is not part of `make check`.
+racefull:
+	$(GO) test -race -timeout 120m ./...
 
 # chaos runs the crash-injection harness under the race detector: kill the
 # federation mid-run (in-process and over TCP), restart from the durable

@@ -124,7 +124,8 @@ func MatMulTransB128(b *testing.B) {
 // the implicit-GEMM forward with fused bias, the weight- and bias-gradient
 // pass, and the input-gradient pass. It keeps the name it had when it
 // timed the im2col lowering, so bench reports stay comparable across that
-// change. Steady state allocates nothing.
+// change. The padded input comes from a step arena that x is adopted
+// into, as in training, so steady state allocates nothing.
 func ConvLowering(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	g := tensor.ConvGeom{InC: 8, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}
@@ -138,13 +139,15 @@ func ConvLowering(b *testing.B) {
 	out := tensor.New(n, outC, g.OutH(), g.OutW())
 	dW, dB := tensor.New(outC, k), make([]float64, outC)
 	dx := tensor.New(n, g.InC, g.InH, g.InW)
+	var a tensor.Arena
+	a.Adopt(x)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		a.Reset()
 		padded := tensor.ConvForwardInto(out, x, w, bias, g)
 		dW.Zero()
 		tensor.ConvParamGrads(dW, dB, padded, out, g) // out stands in for the output gradient
-		tensor.PutTensor(padded)
 		tensor.ConvInputGradInto(dx, out, w, g)
 	}
 }

@@ -25,17 +25,18 @@ type Blended struct {
 
 // Blend applies the paper's blending function (Eq. 2) to a batch x of
 // shape [N, ...] using the sample-shaped perturbation t, clipping both
-// channels into [lo, hi] ("clipped within the range of x").
+// channels into [lo, hi] ("clipped within the range of x"). The channels
+// and masks are allocated Like x.
 func Blend(x, t *tensor.Tensor, alpha, lo, hi float64) *Blended {
 	n := x.Shape[0]
 	ss := x.Size() / n
 	if t.Size() != ss {
 		panic(fmt.Sprintf("core: perturbation size %d does not match sample size %d", t.Size(), ss))
 	}
-	c1 := tensor.New(x.Shape...)
-	c2 := tensor.New(x.Shape...)
-	p1 := make([]bool, x.Size())
-	p2 := make([]bool, x.Size())
+	c1 := tensor.Like(x, x.Shape...)
+	c2 := tensor.Like(x, x.Shape...)
+	p1 := tensor.BoolsLike(x, x.Size())
+	p2 := tensor.BoolsLike(x, x.Size())
 	for b := 0; b < n; b++ {
 		off := b * ss
 		for j := 0; j < ss; j++ {
@@ -43,19 +44,17 @@ func Blend(x, t *tensor.Tensor, alpha, lo, hi float64) *Blended {
 			tv := t.Data[j]
 			v1 := (1-alpha)*xv + alpha*tv
 			v2 := (1+alpha)*xv - alpha*tv
+			p1[off+j] = !(v1 < lo || v1 > hi)
+			p2[off+j] = !(v2 < lo || v2 > hi)
 			if v1 < lo {
 				v1 = lo
 			} else if v1 > hi {
 				v1 = hi
-			} else {
-				p1[off+j] = true
 			}
 			if v2 < lo {
 				v2 = lo
 			} else if v2 > hi {
 				v2 = hi
-			} else {
-				p2[off+j] = true
 			}
 			c1.Data[off+j] = v1
 			c2.Data[off+j] = v2

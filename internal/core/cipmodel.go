@@ -22,6 +22,11 @@ type CIPModel struct {
 	// TGrad — Step I (Eq. 3) optimizes T through this.
 	AccumTGrad bool
 	TGrad      *tensor.Tensor
+
+	// arena serves the step tensors of the training loops that run on this
+	// model (Step I, Step II, the Eq. 4 calibration). Nil trains on the
+	// heap; WithT copies carry none.
+	arena *tensor.Arena
 }
 
 // NewCIPModel wraps dual with perturbation t and blending parameter alpha,
@@ -35,6 +40,7 @@ func NewCIPModel(dual *DualChannelModel, t *tensor.Tensor, alpha float64) *CIPMo
 		T:     t,
 		Dual:  dual,
 		TGrad: tensor.New(t.Shape...),
+		arena: new(tensor.Arena),
 	}
 }
 
@@ -84,7 +90,7 @@ func (m *CIPModel) Backward(cache nn.Cache, grad *tensor.Tensor) *tensor.Tensor 
 	}
 
 	// dC1/dx = (1-α), dC2/dx = (1+α).
-	gx := tensor.New(g1.Shape...)
+	gx := tensor.Like(g1, g1.Shape...)
 	for i := range gx.Data {
 		gx.Data[i] = (1-m.Alpha)*g1.Data[i] + (1+m.Alpha)*g2.Data[i]
 	}

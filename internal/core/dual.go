@@ -82,7 +82,9 @@ func (m *DualChannelModel) Backward(cache *DualCache, grad *tensor.Tensor) (g1, 
 	jointGrad := m.Head.Backward(cache.head, grad)
 	if m.channels() == 1 {
 		g1 = m.Backbone.Backward(cache.bb1, jointGrad)
-		return g1, tensor.New(cache.x2Shape...)
+		g2 = tensor.Like(g1, cache.x2Shape...)
+		g2.Zero()
+		return g1, g2
 	}
 	gf1, gf2 := splitFeatures(jointGrad, cache.featDim)
 	g1 = m.Backbone.Backward(cache.bb1, gf1)
@@ -101,7 +103,7 @@ func (m *DualChannelModel) NumParams() int { return nn.NumParams(m.Params()) }
 func concatFeatures(a, b *tensor.Tensor) *tensor.Tensor {
 	n, fa := a.Shape[0], a.Shape[1]
 	fb := b.Shape[1]
-	out := tensor.New(n, fa+fb)
+	out := tensor.Like(a, n, fa+fb)
 	for i := 0; i < n; i++ {
 		copy(out.Data[i*(fa+fb):], a.Data[i*fa:(i+1)*fa])
 		copy(out.Data[i*(fa+fb)+fa:], b.Data[i*fb:(i+1)*fb])
@@ -112,8 +114,8 @@ func concatFeatures(a, b *tensor.Tensor) *tensor.Tensor {
 func splitFeatures(x *tensor.Tensor, fa int) (*tensor.Tensor, *tensor.Tensor) {
 	n, tot := x.Shape[0], x.Shape[1]
 	fb := tot - fa
-	a := tensor.New(n, fa)
-	b := tensor.New(n, fb)
+	a := tensor.Like(x, n, fa)
+	b := tensor.Like(x, n, fb)
 	for i := 0; i < n; i++ {
 		copy(a.Data[i*fa:], x.Data[i*tot:i*tot+fa])
 		copy(b.Data[i*fb:], x.Data[i*tot+fa:(i+1)*tot])

@@ -86,10 +86,13 @@ func (c TrainConfig) withDefaults() TrainConfig {
 // the model fixed, update t by SGD to minimize the blended training loss
 // plus the λ_t·|t|₁ magnitude penalty. The updated t stays clipped to the
 // valid input range. Returns the mean blended batch loss observed.
+//
+// Each batch's step tensors come from m's arena, reset per batch.
 func StepIGeneratePerturbation(m *CIPModel, data *datasets.Dataset, cfg TrainConfig, rng *rand.Rand) float64 {
 	cfg = cfg.withDefaults()
 	m.AccumTGrad = true
 	defer func() { m.AccumTGrad = false }()
+	params := m.Params()
 
 	var sum float64
 	batches := 0
@@ -104,8 +107,10 @@ func StepIGeneratePerturbation(m *CIPModel, data *datasets.Dataset, cfg TrainCon
 			if cfg.Augment {
 				x = datasets.AugmentBatch(rng, x, data.In, cfg.AugmentPad)
 			}
+			m.arena.Reset()
+			m.arena.Adopt(x)
 			m.ZeroTGrad()
-			nn.ZeroGrads(m.Params()) // parameter grads are discarded in Step I
+			nn.ZeroGrads(params) // parameter grads are discarded in Step I
 			logits, cache := m.Forward(x, true)
 			res := nn.SoftmaxCrossEntropy(logits, y)
 			m.Backward(cache, res.Grad)
@@ -126,7 +131,7 @@ func StepIGeneratePerturbation(m *CIPModel, data *datasets.Dataset, cfg TrainCon
 			batches++
 		}
 	}
-	nn.ZeroGrads(m.Params())
+	nn.ZeroGrads(params)
 	if batches == 0 {
 		return 0
 	}
@@ -143,9 +148,13 @@ func StepIGeneratePerturbation(m *CIPModel, data *datasets.Dataset, cfg TrainCon
 // guessing t′, including a malicious client substituting its own — the
 // Knowledge-1/3 adversaries), so membership is concealed under ANY
 // perturbation other than the secret t. Returns the mean blended batch loss.
+//
+// Each batch's step tensors come from m's arena, reset per batch and again
+// between the two Eq. 4 terms, so the arena holds one forward and backward.
 func StepIILearnModel(m *CIPModel, data *datasets.Dataset, cfg TrainConfig,
 	opt nn.Optimizer, rng *rand.Rand) float64 {
 	cfg = cfg.withDefaults()
+	params := m.Params()
 	zeroQuery := m.WithT(m.ZeroT())
 	guessT := m.ZeroT()
 	guessQuery := m.WithT(guessT)
@@ -162,12 +171,17 @@ func StepIILearnModel(m *CIPModel, data *datasets.Dataset, cfg TrainConfig,
 		if cfg.Augment {
 			x = datasets.AugmentBatch(rng, x, data.In, cfg.AugmentPad)
 		}
-		nn.ZeroGrads(m.Params())
+		m.arena.Reset()
+		m.arena.Adopt(x)
+		nn.ZeroGrads(params)
 
-		// Term 1: minimize CE over D_t (weight +1).
+		// Term 1: minimize CE over D_t (weight +1). Only its loss is read
+		// after the reset that frees its step tensors for term 2.
 		logits, cache := m.Forward(x, true)
 		res := nn.SoftmaxCrossEntropy(logits, y)
 		m.Backward(cache, res.Grad)
+		loss := res.Loss
+		m.arena.Reset()
 
 		// Term 2: maximize CE over original queries (weight −λ_m),
 		// per-sample capped — a member query is pushed up only while its
@@ -206,10 +220,10 @@ func StepIILearnModel(m *CIPModel, data *datasets.Dataset, cfg TrainConfig,
 		}
 
 		if cfg.ClipNorm > 0 {
-			nn.ClipGradNorm(m.Params(), cfg.ClipNorm)
+			nn.ClipGradNorm(params, cfg.ClipNorm)
 		}
-		opt.Step(m.Params())
-		sum += res.Loss
+		opt.Step(params)
+		sum += loss
 		batches++
 	}
 	if batches == 0 {
@@ -389,7 +403,7 @@ func (c *Client) TrainLocal(round int, global []float64) (fl.Update, error) {
 	cfg := c.cfg
 	if cfg.LambdaM != 0 && cfg.OriginalLossCap <= 0 && c.cal != nil {
 		zero := c.m.WithT(c.m.ZeroT())
-		cfg.OriginalLossCap = fl.MeanLoss(zero, c.cal, 64)
+		cfg.OriginalLossCap = fl.MeanLossIn(c.m.arena, zero, c.cal, 64)
 	}
 	var loss float64
 	for e := 0; e < cfg.LocalEpochs; e++ {

@@ -69,7 +69,7 @@ func (s *MixupMMDStep) Step(net nn.Layer, opt nn.Optimizer, x *tensor.Tensor, y 
 			partner[i] = i
 		}
 	}
-	mixed := tensor.New(x.Shape...)
+	mixed := tensor.Like(x, x.Shape...)
 	for i := 0; i < n; i++ {
 		a := x.Data[i*ss : (i+1)*ss]
 		b := x.Data[partner[i]*ss : (partner[i]+1)*ss]

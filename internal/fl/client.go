@@ -17,6 +17,10 @@ import (
 // defenses package supplies alternatives (DP-SGD noise injection,
 // adversarial regularization, Mixup+MMD, RelaxLoss) that plug in here, so
 // every defense trains through the identical federated loop.
+//
+// The training loop adopts x into a step arena (tensor.Arena): tensors
+// allocated Like x, or like anything derived from it, are valid only until
+// Step returns. A step that keeps such a tensor must Clone it.
 type TrainStep interface {
 	Step(net nn.Layer, opt nn.Optimizer, x *tensor.Tensor, y []int) (loss float64)
 }
@@ -96,6 +100,8 @@ type LegacyClient struct {
 	// src is non-nil for clients built with NewStatefulLegacyClient: the
 	// serializable source behind rng, required by CaptureState.
 	src *rng.Source
+	// arena serves every training step's tensors, round after round.
+	arena *tensor.Arena
 }
 
 // NewLegacyClient constructs a client. step may be nil for plain training.
@@ -106,13 +112,14 @@ func NewLegacyClient(id int, net nn.Layer, data *datasets.Dataset, cfg ClientCon
 	}
 	cfg = cfg.withDefaults()
 	return &LegacyClient{
-		id:   id,
-		net:  net,
-		data: data,
-		cfg:  cfg,
-		step: step,
-		opt:  &nn.SGD{LR: cfg.LR(0), Momentum: cfg.Momentum},
-		rng:  rng,
+		id:    id,
+		net:   net,
+		data:  data,
+		cfg:   cfg,
+		step:  step,
+		opt:   &nn.SGD{LR: cfg.LR(0), Momentum: cfg.Momentum},
+		rng:   rng,
+		arena: new(tensor.Arena),
 	}
 }
 
@@ -199,7 +206,7 @@ func (c *LegacyClient) TrainLocal(round int, global []float64) (Update, error) {
 	// epoch per round it approximates server-side momentum and converges
 	// noticeably faster than per-round resets on our scale.
 	c.opt.LR = c.cfg.LR(round)
-	loss, err := TrainEpochs(c.net, c.opt, c.step, c.data, c.cfg, c.rng)
+	loss, err := trainEpochs(c.arena, c.net, c.opt, c.step, c.data, c.cfg, c.rng)
 	if err != nil {
 		return Update{}, fmt.Errorf("fl: client %d: %w", c.id, err)
 	}
@@ -211,8 +218,16 @@ func (c *LegacyClient) TrainLocal(round int, global []float64) (Update, error) {
 }
 
 // TrainEpochs runs cfg.LocalEpochs passes of mini-batch training over data
-// and returns the mean batch loss of the final epoch.
+// and returns the mean batch loss of the final epoch. The batches share one
+// step arena for the duration of the call.
 func TrainEpochs(net nn.Layer, opt nn.Optimizer, step TrainStep,
+	data *datasets.Dataset, cfg ClientConfig, rng *rand.Rand) (float64, error) {
+	return trainEpochs(new(tensor.Arena), net, opt, step, data, cfg, rng)
+}
+
+// trainEpochs is TrainEpochs with each batch adopted into arena a, reset
+// per batch (nil: train on the heap).
+func trainEpochs(a *tensor.Arena, net nn.Layer, opt nn.Optimizer, step TrainStep,
 	data *datasets.Dataset, cfg ClientConfig, rng *rand.Rand) (float64, error) {
 	cfg = cfg.withDefaults()
 	if step == nil {
@@ -235,6 +250,8 @@ func TrainEpochs(net nn.Layer, opt nn.Optimizer, step TrainStep,
 			if cfg.Augment {
 				x = datasets.AugmentBatch(rng, x, data.In, cfg.AugmentPad)
 			}
+			a.Reset()
+			a.Adopt(x)
 			sum += step.Step(net, opt, x, y)
 			batches++
 		}
@@ -266,6 +283,12 @@ func Evaluate(net nn.Layer, d *datasets.Dataset, batchSize int) float64 {
 
 // MeanLoss returns the mean per-sample cross-entropy of net on d.
 func MeanLoss(net nn.Layer, d *datasets.Dataset, batchSize int) float64 {
+	return MeanLossIn(nil, net, d, batchSize)
+}
+
+// MeanLossIn is MeanLoss with each batch adopted into arena a, reset per
+// batch (nil: the heap). A training loop passes its own arena.
+func MeanLossIn(a *tensor.Arena, net nn.Layer, d *datasets.Dataset, batchSize int) float64 {
 	if batchSize <= 0 {
 		batchSize = 64
 	}
@@ -276,6 +299,8 @@ func MeanLoss(net nn.Layer, d *datasets.Dataset, batchSize int) float64 {
 			end = d.Len()
 		}
 		x, y := d.Batch(start, end)
+		a.Reset()
+		a.Adopt(x)
 		for _, l := range nn.PerSampleLosses(net, x, y) {
 			sum += l
 		}

@@ -16,14 +16,14 @@ type reluCache struct {
 // Forward zeroes negative activations. The output doubles as the backward
 // gate (y > 0 exactly when the input was positive), so no mask is stored.
 func (ReLU) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, Cache) {
-	out := tensor.ReluInto(tensor.New(x.Shape...), x)
+	out := tensor.ReluInto(tensor.Like(x, x.Shape...), x)
 	return out, &reluCache{y: out}
 }
 
 // Backward gates the gradient by the forward output's sign.
 func (ReLU) Backward(cache Cache, grad *tensor.Tensor) *tensor.Tensor {
 	c := cache.(*reluCache)
-	return tensor.ReluGateInto(tensor.New(grad.Shape...), c.y, grad)
+	return tensor.ReluGateInto(tensor.Like(grad, grad.Shape...), c.y, grad)
 }
 
 // Params returns nil; ReLU has no parameters.

@@ -33,35 +33,32 @@ func NewConv2D(rng *rand.Rand, g tensor.ConvGeom, outC int) *Conv2D {
 	return c
 }
 
-// The conv cache is the pooled zero-padded input that
-// tensor.ConvForwardInto returns; boxing the pointer into the Cache
-// interface costs no allocation.
+// The conv cache is the zero-padded input that tensor.ConvForwardInto
+// returns, allocated Like x; boxing the pointer into the Cache interface
+// costs no allocation.
 
 // Forward computes the convolution for x of shape [N, InC, InH, InW]. The
-// padded input stays in the cache (Backward both needs and releases it);
-// caches that never reach Backward simply fall to the garbage collector.
+// padded input stays in the cache for Backward.
 func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, Cache) {
 	g := c.Geom
-	out := tensor.New(x.Shape[0], c.OutC, g.OutH(), g.OutW())
+	out := tensor.Like(x, x.Shape[0], c.OutC, g.OutH(), g.OutW())
 	padded := tensor.ConvForwardInto(out, x, c.W.Value, c.B.Value.Data, g)
 	return out, padded
 }
 
 // Backward accumulates kernel/bias gradients and returns the input
-// gradient, releasing the cached padded input.
+// gradient.
 func (c *Conv2D) Backward(cache Cache, grad *tensor.Tensor) *tensor.Tensor {
 	g := c.Geom
 	c.BackwardParams(cache, grad)
-	dx := tensor.New(grad.Shape[0], g.InC, g.InH, g.InW)
+	dx := tensor.Like(grad, grad.Shape[0], g.InC, g.InH, g.InW)
 	return tensor.ConvInputGradInto(dx, grad, c.W.Value, g)
 }
 
 // BackwardParams implements ParamBackprop: kernel/bias gradients without
 // the input-gradient kernel and scatter a first layer never needs.
 func (c *Conv2D) BackwardParams(cache Cache, grad *tensor.Tensor) {
-	padded := cache.(*tensor.Tensor)
-	tensor.ConvParamGrads(c.W.Grad, c.B.Grad.Data, padded, grad, c.Geom)
-	tensor.PutTensor(padded)
+	tensor.ConvParamGrads(c.W.Grad, c.B.Grad.Data, cache.(*tensor.Tensor), grad, c.Geom)
 }
 
 // Params returns the kernel and bias.

@@ -31,7 +31,7 @@ type denseCache struct {
 
 // Forward computes x·Wᵀ + b, with the bias fused into the GEMM epilogue.
 func (d *Dense) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, Cache) {
-	out := tensor.New(x.Shape[0], d.Out)
+	out := tensor.Like(x, x.Shape[0], d.Out)
 	tensor.MatMulTransBBiasInto(out, x, d.W.Value, d.B.Value.Data)
 	return out, &denseCache{x: x}
 }
@@ -41,7 +41,7 @@ func (d *Dense) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, Cache) {
 // allocates nothing.
 func (d *Dense) Backward(cache Cache, grad *tensor.Tensor) *tensor.Tensor {
 	d.BackwardParams(cache, grad)
-	return tensor.MatMul(grad, d.W.Value) // [N, In]
+	return tensor.MatMulInto(tensor.Like(grad, grad.Shape[0], d.In), grad, d.W.Value)
 }
 
 // BackwardParams implements ParamBackprop: weight/bias gradients without

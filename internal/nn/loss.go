@@ -7,10 +7,11 @@ import (
 	"github.com/cip-fl/cip/internal/tensor"
 )
 
-// Softmax returns row-wise softmax probabilities for logits of shape [N, K].
+// Softmax returns row-wise softmax probabilities for logits of shape [N, K],
+// allocated Like logits.
 func Softmax(logits *tensor.Tensor) *tensor.Tensor {
 	n, k := logits.Shape[0], logits.Shape[1]
-	out := tensor.New(n, k)
+	out := tensor.Like(logits, n, k)
 	for i := 0; i < n; i++ {
 		row := logits.Data[i*k : (i+1)*k]
 		m := row[0]
@@ -45,13 +46,14 @@ type CEResult struct {
 }
 
 // SoftmaxCrossEntropy computes softmax + cross-entropy for integer labels.
+// Probs and Grad are allocated Like logits; PerSample is always on the heap.
 func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) CEResult {
 	n, k := logits.Shape[0], logits.Shape[1]
 	if len(labels) != n {
 		panic(fmt.Sprintf("nn: %d labels for %d logits rows", len(labels), n))
 	}
 	probs := Softmax(logits)
-	grad := tensor.New(n, k)
+	grad := tensor.Like(logits, n, k)
 	per := make([]float64, n)
 	total := 0.0
 	inv := 1.0 / float64(n)

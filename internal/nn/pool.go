@@ -12,8 +12,8 @@ type MaxPool2D struct {
 }
 
 type maxPoolCache struct {
-	argmax  []int // flat input index of each output element's max
-	inShape []int
+	argmax []int // flat input index of each output element's max
+	in     [4]int
 }
 
 // Forward pools each Size×Size window to its maximum.
@@ -23,8 +23,8 @@ func (m MaxPool2D) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, Cache) {
 	}
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	oh, ow := h/m.Size, w/m.Size
-	out := tensor.New(n, c, oh, ow)
-	argmax := make([]int, out.Size())
+	out := tensor.Like(x, n, c, oh, ow)
+	argmax := tensor.IntsLike(x, out.Size())
 	for b := 0; b < n; b++ {
 		for ch := 0; ch < c; ch++ {
 			inBase := (b*c + ch) * h * w
@@ -47,13 +47,14 @@ func (m MaxPool2D) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, Cache) {
 			}
 		}
 	}
-	return out, &maxPoolCache{argmax: argmax, inShape: append([]int(nil), x.Shape...)}
+	return out, &maxPoolCache{argmax: argmax, in: [4]int{n, c, h, w}}
 }
 
 // Backward routes each output gradient to the input position that won the max.
 func (m MaxPool2D) Backward(cache Cache, grad *tensor.Tensor) *tensor.Tensor {
 	c := cache.(*maxPoolCache)
-	out := tensor.New(c.inShape...)
+	out := tensor.Like(grad, c.in[:]...)
+	out.Zero()
 	for i, src := range c.argmax {
 		out.Data[src] += grad.Data[i]
 	}

@@ -55,12 +55,14 @@ func BenchmarkConv(b *testing.B) {
 	out := New(n, outC, g.OutH(), g.OutW())
 	dW, dB := New(outC, k), make([]float64, outC)
 	dx := New(n, g.InC, g.InH, g.InW)
+	var a Arena
+	a.Adopt(x)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		a.Reset()
 		padded := ConvForwardInto(out, x, w, bias, g)
 		dW.Zero()
 		ConvParamGrads(dW, dB, padded, out, g)
-		PutTensor(padded)
 		ConvInputGradInto(dx, out, w, g)
 	}
 }

@@ -9,9 +9,10 @@ import (
 // the im2col matrix, but that matrix never needs to exist: the GEMM
 // micro-kernel only ever reads one K×nr panel of it at a time, and each
 // panel row can be copied straight out of the input. The forward pass
-// zero-pads the input once per batch into a pooled buffer, after which
-// every panel row is a strided copy with no edge branches, and each pass
-// stores its finished tiles straight into their destination:
+// zero-pads the input once per batch (into the input's step arena when it
+// has one), after which every panel row is a strided copy with no edge
+// branches, and each pass stores its finished tiles straight into their
+// destination:
 //
 //   - Forward: A = W's rows, B = patch panels of nr output positions of
 //     one image; tile + bias lands in out[b, oc, s:s+nr].
@@ -226,8 +227,8 @@ func convRecord(vol int, start time.Time) {
 // ConvForwardInto computes out = conv(x, w) + bias for x [N, InC, InH,
 // InW], w [OutC, InC*KH*KW] (OIHW flattened) and bias [OutC], writing
 // out [N, OutC, OutH, OutW]. It returns the zero-padded input (laid out
-// as convPlan describes): a pooled buffer that ConvParamGrads reads and
-// the caller releases with PutTensor. out must not alias x.
+// as convPlan describes), which ConvParamGrads reads: a tensor allocated
+// Like x, so from x's step arena when it has one. out must not alias x.
 func ConvForwardInto(out, x, w *Tensor, bias []float64, g ConvGeom) (padded *Tensor) {
 	const op = "ConvForwardInto"
 	outC := checkConv(op, w, g)
@@ -236,7 +237,7 @@ func ConvForwardInto(out, x, w *Tensor, bias []float64, g ConvGeom) (padded *Ten
 	checkShape(op, "destination", out, n, outC, g.OutH(), g.OutW())
 	checkBias(op, bias, outC)
 	pl := newConvPlan(g, n, outC)
-	padded = GetTensor(pl.size)
+	padded = Like(x, pl.size)
 	start := convClock(pl.volume())
 	pl.pad(padded.Data, x.Data)
 	if useF32() {

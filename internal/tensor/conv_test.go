@@ -132,7 +132,6 @@ func implicitConv(in convInputs, g ConvGeom, withDX bool) convResult {
 	padded := ConvForwardInto(out, in.x, in.w, in.bias, g)
 	dW, dB := in.grads()
 	ConvParamGrads(dW, dB, padded, in.gy, g)
-	PutTensor(padded)
 	r := convResult{out: out, dW: dW, dB: dB}
 	if withDX {
 		r.dx = ConvInputGradInto(New(n, g.InC, g.InH, g.InW), in.gy, in.w, g)

@@ -241,8 +241,9 @@ func gemm(dst, a, b []float64, s gemmShape) {
 		start = time.Now()
 	}
 
-	panelStride := kcBlock * nr
-	bpack := GetTensor(panelStride * (ncBlock/nr + 1))
+	// The packed block holds ⌈ncb/nr⌉ panels of kcb×nr, panel jp at
+	// jp·kcb·nr, so it is sized to this product's largest block.
+	bpack := GetTensor(min(kcBlock, s.k) * nr * ((min(ncBlock, s.n) + nr - 1) / nr))
 	serial := rowWorkers(s.m, vol) < 2
 	for jc := 0; jc < s.n; jc += ncBlock {
 		ncb := min(ncBlock, s.n-jc)

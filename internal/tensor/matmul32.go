@@ -148,8 +148,8 @@ func gemm32[T elem](dst []T, a32 []float32, b []T, s gemmShape32[T]) {
 		start = time.Now()
 	}
 
-	panelStride := kcBlock * nr32
-	bpack := GetTensor32(panelStride * (ncBlock/nr32 + 1))
+	// Sized to this product's largest packed block, as in gemm.
+	bpack := GetTensor32(min(kcBlock, s.k) * nr32 * ((min(ncBlock, s.n) + nr32 - 1) / nr32))
 	serial := rowWorkers(s.m, vol) < 2
 	for jc := 0; jc < s.n; jc += ncBlock {
 		ncb := min(ncBlock, s.n-jc)

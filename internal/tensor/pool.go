@@ -5,24 +5,25 @@ import (
 	"sync"
 )
 
-// The scratch arena hands out pooled tensors for transient buffers on the
-// training hot path (the convolution's padded input and panels, packed
-// GEMM panels, transposes) so conv forward/backward stop allocating per
-// batch.
+// The scratch pool hands out pooled tensors for the transient buffers
+// inside kernels (the convolution's padded dX image and panels, packed
+// GEMM panels, transposes, backward temporaries), so kernel calls stop
+// allocating. It is safe for concurrent use: kernel workers draw from it.
+// Step tensors that outlive a kernel call (activations, gradients, layer
+// caches) come from a training loop's Arena instead (arena.go).
 //
 // Buffers are binned by power-of-two capacity; GetTensor returns a tensor
 // whose backing slice comes from the smallest class that fits, and
 // PutTensor returns it. The *Tensor header itself is pooled along with its
 // storage, so a hit performs zero heap allocations.
 //
-// Each class is a small mutex-guarded LIFO rather than a sync.Pool:
-// training allocates large escaping activations every step, so the GC runs
-// constantly and would flush a sync.Pool right when the next minibatch
-// wants its buffers back. The freelist is GC-immune and bounded (see
-// classCap), so resident scratch memory is proportional to the peak number
-// of concurrently live buffers, exactly like any arena.
+// Each class is a small mutex-guarded LIFO rather than a sync.Pool: the GC
+// would flush a sync.Pool right when the next minibatch wants its buffers
+// back. The freelist is GC-immune and bounded (see classCap), so resident
+// scratch memory is proportional to the peak number of concurrently live
+// buffers.
 //
-// Invariants callers must keep (DESIGN.md §9):
+// Invariants callers must keep (DESIGN.md §9.2):
 //   - A pooled tensor's contents are UNINITIALIZED; call Zero if needed.
 //   - After PutTensor the tensor (and anything aliasing its Data, e.g. a
 //     Reshape view) must not be touched — the storage will be handed to an
@@ -44,7 +45,7 @@ var scratchPools [maxPoolClass + 1]classList
 
 // classCap bounds how many idle buffers a class retains: small classes keep
 // more (they're cheap and heavily cycled), big ones at most two so the
-// arena can never pin more than a few hundred MiB even if every class
+// pool can never pin more than a few hundred MiB even if every class
 // saturates.
 func classCap(c int) int {
 	if c <= 17 { // ≤ 1 MiB buffers
@@ -88,24 +89,22 @@ func GetTensor(shape ...int) *Tensor {
 	p.mu.Unlock()
 	if t == nil {
 		poolMisses.inc()
-		t = &Tensor{Data: make([]float64, 1<<c)}
+		t = &Tensor{Data: make([]float64, 1<<c), pooled: true}
 	}
 	t.Data = t.Data[:cap(t.Data)][:n]
 	t.Shape = append(t.Shape[:0], shape...)
 	return t
 }
 
-// PutTensor returns t's storage to the pool. t must have come from
-// GetTensor and must not be used afterwards.
+// PutTensor returns t's storage to the pool. t must not be used
+// afterwards. Only tensors that GetTensor handed out from a size class
+// are taken back; any other tensor (nil, an overflow allocation, a heap or
+// arena tensor, a Reshape view) is left to its owner.
 func PutTensor(t *Tensor) {
-	if t == nil {
+	if t == nil || !t.pooled {
 		return
 	}
 	c := poolClass(cap(t.Data))
-	if c < 0 || cap(t.Data) != 1<<c {
-		// Overflow allocation (or a foreign tensor): let the GC have it.
-		return
-	}
 	p := &scratchPools[c]
 	p.mu.Lock()
 	if len(p.free) < classCap(c) {

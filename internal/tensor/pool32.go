@@ -2,13 +2,13 @@ package tensor
 
 import "sync"
 
-// The float32 scratch arena mirrors pool.go exactly — same size classes
+// The float32 scratch pool mirrors pool.go exactly — same size classes
 // (poolClass), same per-class retention bounds (classCap), same
 // mutex-guarded GC-immune LIFO rationale, same caller invariants
 // (DESIGN.md §9) — over float32 storage. A class's capacity is 2^class
-// ELEMENTS, so the f32 arena's resident bytes are half the f64 arena's at
+// ELEMENTS, so the f32 pool's resident bytes are half the f64 pool's at
 // the same fill. The shared pool counters (PoolStats, tensor_pool_*
-// metrics) account Gets/misses/Puts from both arenas.
+// metrics) account Gets/misses/Puts from both pools.
 
 // classList32 is one size class's float32 freelist.
 type classList32 struct {
@@ -40,24 +40,21 @@ func GetTensor32(shape ...int) *Tensor32 {
 	p.mu.Unlock()
 	if t == nil {
 		poolMisses.inc()
-		t = &Tensor32{Data: make([]float32, 1<<c)}
+		t = &Tensor32{Data: make([]float32, 1<<c), pooled: true}
 	}
 	t.Data = t.Data[:cap(t.Data)][:n]
 	t.Shape = append(t.Shape[:0], shape...)
 	return t
 }
 
-// PutTensor32 returns t's storage to the pool. t must have come from
-// GetTensor32 and must not be used afterwards.
+// PutTensor32 returns t's storage to the pool. t must not be used
+// afterwards. Like PutTensor, it takes back only tensors that GetTensor32
+// handed out from a size class and ignores all others.
 func PutTensor32(t *Tensor32) {
-	if t == nil {
+	if t == nil || !t.pooled {
 		return
 	}
 	c := poolClass(cap(t.Data))
-	if c < 0 || cap(t.Data) != 1<<c {
-		// Overflow allocation (or a foreign tensor): let the GC have it.
-		return
-	}
 	p := &scratchPools32[c]
 	p.mu.Lock()
 	if len(p.free) < classCap(c) {

@@ -49,9 +49,10 @@ func TestPutTensorRespectsClassCap(t *testing.T) {
 		}
 		drained = append(drained, GetTensor(n))
 	}
+	// The class is empty, so each GetTensor mints a fresh pooled buffer.
 	held := make([]*Tensor, 0, classCap(c)+5)
 	for i := 0; i < classCap(c)+5; i++ {
-		held = append(held, &Tensor{Shape: []int{n}, Data: make([]float64, 1<<c)[:n]})
+		held = append(held, GetTensor(n))
 	}
 	for _, h := range held {
 		PutTensor(h)
@@ -82,6 +83,41 @@ func TestGetTensorOverflowFallsThrough(t *testing.T) {
 	PutTensor(y)
 }
 
+// TestPutTensorIgnoresForeignTensors holds that the pool takes back only
+// what it handed out: a heap tensor with a power-of-two capacity, a
+// Reshape view of a pooled tensor and an arena tensor all stay with their
+// owners, at both precisions.
+func TestPutTensorIgnoresForeignTensors(t *testing.T) {
+	const n = 4096 // class 12
+	c := poolClass(n)
+	idle := func() (int, int) {
+		p, p32 := &scratchPools[c], &scratchPools32[c]
+		p.mu.Lock()
+		p32.mu.Lock()
+		defer p.mu.Unlock()
+		defer p32.mu.Unlock()
+		return len(p.free), len(p32.free)
+	}
+	pooled := GetTensor(n)
+	before, before32 := idle()
+
+	owned := New(n)
+	PutTensor(owned)
+	PutTensor(pooled.Reshape(64, 64))
+	var a Arena
+	a.Adopt(owned)
+	PutTensor(Like(owned, n))
+	PutTensor32(New32(n))
+	if got, got32 := idle(); got != before || got32 != before32 {
+		t.Fatalf("foreign tensors entered the pool: class %d idle %d→%d (f64), %d→%d (f32)",
+			c, before, got, before32, got32)
+	}
+	PutTensor(pooled)
+	if got, _ := idle(); got != before+1 {
+		t.Fatalf("a pooled tensor was not taken back: idle %d, want %d", got, before+1)
+	}
+}
+
 // TestPoolConcurrentGetPut exercises the freelist locking under -race.
 func TestPoolConcurrentGetPut(t *testing.T) {
 	var wg sync.WaitGroup
@@ -98,4 +134,40 @@ func TestPoolConcurrentGetPut(t *testing.T) {
 		}(int64(w))
 	}
 	wg.Wait()
+}
+
+// TestHeadGEMMPoolsNoOversizedPanel holds that a GEMM sizes its packed-B
+// panel to the product. The dual-channel TinyVGG head at batch 16,
+// [16,560]·[20,560]ᵀ, needs no pooled buffer larger than its A operand;
+// a panel sized for the largest possible block (kcBlock × ncBlock) would
+// leave an idle class-18 buffer behind, at either precision.
+func TestHeadGEMMPoolsNoOversizedPanel(t *testing.T) {
+	const m, k, n = 16, 560, 20
+	rng := rand.New(rand.NewSource(1))
+	a, b, dst := New(m, k), New(n, k), New(m, n)
+	a.RandNormal(rng, 0, 1)
+	b.RandNormal(rng, 0, 1)
+	bias := make([]float64, n)
+	need := poolClass(m * k)
+	defer SetPrecision(F64)
+	for _, p := range []Precision{F64, F32} {
+		SetPrecision(p)
+		// Take the idle buffers above need out of both pools, so that
+		// whatever the product leaves there is its own.
+		var held64 [maxPoolClass + 1][]*Tensor
+		var held32 [maxPoolClass + 1][]*Tensor32
+		for c := need + 1; c <= maxPoolClass; c++ {
+			held64[c], scratchPools[c].free = scratchPools[c].free, nil
+			held32[c], scratchPools32[c].free = scratchPools32[c].free, nil
+		}
+		MatMulTransBBiasInto(dst, a, b, bias)
+		for c := need + 1; c <= maxPoolClass; c++ {
+			if got := len(scratchPools[c].free) + len(scratchPools32[c].free); got != 0 {
+				t.Errorf("%v: a head-sized GEMM left %d idle buffer(s) in class %d; it needs at most class %d",
+					p, got, c, need)
+			}
+			scratchPools[c].free = append(scratchPools[c].free, held64[c]...)
+			scratchPools32[c].free = append(scratchPools32[c].free, held32[c]...)
+		}
+	}
 }

@@ -3,9 +3,13 @@
 // network stack in internal/nn is built on.
 //
 // Tensors are row-major, backed by a flat []float64, and carry an explicit
-// shape. All operations either allocate a fresh result or write into a
+// shape. All operations either allocate a result or write into a
 // caller-supplied destination; no operation mutates its inputs unless the
-// name says so (e.g. AddInPlace).
+// name says so (e.g. AddInPlace). A result comes from the heap, or, for
+// the step operations that allocate through Like, from the step arena of
+// the input it derives from (see Arena): training loops adopt each
+// minibatch into an arena so that a step's activations and gradients
+// allocate nothing.
 package tensor
 
 import (
@@ -20,6 +24,12 @@ type Tensor struct {
 	Shape []int
 	// Data is the flat row-major backing store; len(Data) == product(Shape).
 	Data []float64
+
+	// arena, when set, serves Like for tensors derived from this one.
+	arena *Arena
+	// pooled marks a tensor handed out by GetTensor; PutTensor takes back
+	// only those.
+	pooled bool
 }
 
 // panicNegDim reports a negative dimension. It deliberately takes only the
@@ -86,7 +96,8 @@ func (t *Tensor) Dims() int { return len(t.Shape) }
 // Dim returns the extent of dimension i.
 func (t *Tensor) Dim(i int) int { return t.Shape[i] }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy on the heap, so it outlives the arena step of
+// an arena tensor.
 func (t *Tensor) Clone() *Tensor {
 	c := New(t.Shape...)
 	copy(c.Data, t.Data)
@@ -94,10 +105,15 @@ func (t *Tensor) Clone() *Tensor {
 }
 
 // Reshape returns a view of t with a new shape of equal volume. The backing
-// data is shared.
+// data is shared, and so is t's arena: the view's header comes from it.
 func (t *Tensor) Reshape(shape ...int) *Tensor {
-	v := FromSlice(t.Data, shape...)
-	return v
+	if t.arena == nil {
+		return FromSlice(t.Data, shape...)
+	}
+	if n := shapeVolume(shape); n != len(t.Data) {
+		panic(fmt.Sprintf("tensor: cannot reshape %v (volume %d) to volume %d", t.Shape, len(t.Data), n))
+	}
+	return t.arena.header(t.Data, shape)
 }
 
 // At returns the element at the given multi-index.
@@ -187,9 +203,9 @@ func Mul(a, b *Tensor) *Tensor {
 	return out
 }
 
-// Scale returns a * s elementwise.
+// Scale returns a * s elementwise, allocated Like a.
 func Scale(a *Tensor, s float64) *Tensor {
-	out := New(a.Shape...)
+	out := Like(a, a.Shape...)
 	for i := range a.Data {
 		out.Data[i] = a.Data[i] * s
 	}

@@ -17,6 +17,10 @@ type Tensor32 struct {
 	Shape []int
 	// Data is the flat row-major backing store; len(Data) == product(Shape).
 	Data []float32
+
+	// pooled marks a tensor handed out by GetTensor32; PutTensor32 takes
+	// back only those.
+	pooled bool
 }
 
 // New32 returns a zero-filled float32 tensor with the given shape.
