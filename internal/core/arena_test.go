@@ -42,18 +42,19 @@ type arenaTrace struct {
 }
 
 // traceRounds runs Step I, the Eq. 4 calibration and Step II for a few
-// rounds, then one whole TrainLocal round.
-func traceRounds(t *testing.T, c *Client) arenaTrace {
+// rounds, then one whole client round, all drawing step tensors from arena
+// a (nil: the heap).
+func traceRounds(t *testing.T, a *tensor.Arena, c *Client) arenaTrace {
 	t.Helper()
 	var tr arenaTrace
 	for r := 0; r < 2; r++ {
-		tr.losses = append(tr.losses, StepIGeneratePerturbation(c.m, c.data, c.cfg, c.rng))
+		tr.losses = append(tr.losses, stepI(a, c.m, c.data, c.cfg, c.rng))
 		cfg := c.cfg
-		cfg.OriginalLossCap = fl.MeanLossIn(c.m.arena, c.m.WithT(c.m.ZeroT()), c.cal, 64)
+		cfg.OriginalLossCap = fl.MeanLossIn(a, c.m.WithT(c.m.ZeroT()), c.cal, 64)
 		tr.losses = append(tr.losses, cfg.OriginalLossCap)
-		tr.losses = append(tr.losses, StepIILearnModel(c.m, c.data, cfg, c.opt, c.rng))
+		tr.losses = append(tr.losses, stepII(a, c.m, c.data, cfg, c.opt, c.rng))
 	}
-	u, err := c.TrainLocal(2, nn.FlattenParams(c.m.Params()))
+	u, err := c.trainLocal(a, 2, nn.FlattenParams(c.m.Params()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,10 +87,8 @@ func TestArenaMatchesHeap(t *testing.T) {
 	for _, p := range []tensor.Precision{tensor.F64, tensor.F32} {
 		t.Run(p.String(), func(t *testing.T) {
 			tensor.SetPrecision(p)
-			arena := traceRounds(t, arenaTestClient(t, 44))
-			heapClient := arenaTestClient(t, 44)
-			heapClient.m.arena = nil
-			heap := traceRounds(t, heapClient)
+			arena := traceRounds(t, new(tensor.Arena), arenaTestClient(t, 44))
+			heap := traceRounds(t, nil, arenaTestClient(t, 44))
 			requireBitIdentical(t, "losses", arena.losses, heap.losses)
 			requireBitIdentical(t, "params", arena.params, heap.params)
 			requireBitIdentical(t, "t", arena.t, heap.t)
@@ -98,9 +97,9 @@ func TestArenaMatchesHeap(t *testing.T) {
 }
 
 // TestStepIIAllocationsPinned pins the heap allocation of one Step II
-// batch at batch 16 after a warm-up batch: the step arena serves every
-// activation and gradient, so what is left is the batch itself and a few
-// small headers.
+// batch at batch 16 after a warm-up batch in the same step arena, which
+// serves every activation and gradient, so what is left is the batch
+// itself and a few small headers.
 func TestStepIIAllocationsPinned(t *testing.T) {
 	const budget = 128 << 10
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
@@ -108,11 +107,12 @@ func TestStepIIAllocationsPinned(t *testing.T) {
 	for _, p := range []tensor.Precision{tensor.F64, tensor.F32} {
 		t.Run(p.String(), func(t *testing.T) {
 			tensor.SetPrecision(p)
-			c := arenaTestClient(t, 16)                        // one batch, no calibration split
-			StepIILearnModel(c.m, c.data, c.cfg, c.opt, c.rng) // warm-up
+			c := arenaTestClient(t, 16) // one batch, no calibration split
+			a := new(tensor.Arena)
+			stepII(a, c.m, c.data, c.cfg, c.opt, c.rng) // warm-up
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			StepIILearnModel(c.m, c.data, c.cfg, c.opt, c.rng)
+			stepII(a, c.m, c.data, c.cfg, c.opt, c.rng)
 			runtime.ReadMemStats(&after)
 			got := after.TotalAlloc - before.TotalAlloc
 			t.Logf("one Step II batch allocated %d B", got)
@@ -120,5 +120,44 @@ func TestStepIIAllocationsPinned(t *testing.T) {
 				t.Fatalf("one Step II batch allocated %d B, want ≤ %d B", got, budget)
 			}
 		})
+	}
+}
+
+// TestClientsKeepNoStepMemory trains one round on each of several CIP
+// clients in turn and requires the live heap to grow per client by no more
+// than the client's momentum buffers: TrainLocal gives its step arena back
+// when it returns, so step memory follows the number of clients training at
+// once, not the number of clients.
+func TestClientsKeepNoStepMemory(t *testing.T) {
+	const k = 4
+	clients := make([]*Client, k)
+	for i := range clients {
+		clients[i] = arenaTestClient(t, 44)
+	}
+	global := nn.FlattenParams(clients[0].m.Params())
+	live := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	// The first round leaves an arena on the free list for the others.
+	if _, err := clients[0].TrainLocal(0, global); err != nil {
+		t.Fatal(err)
+	}
+	base := live()
+	for _, c := range clients[1:] {
+		if _, err := c.TrainLocal(0, global); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perClient := (live() - base) / (k - 1)
+	runtime.KeepAlive(clients)
+	momentum := int64(8 * len(global))
+	t.Logf("live heap grew %d B per client; momentum buffers %d B", perClient, momentum)
+	if perClient > momentum+64<<10 {
+		t.Fatalf("live heap grew %d B per trained client, want ≤ %d B (its momentum buffers and 64 KiB)",
+			perClient, momentum+64<<10)
 	}
 }

@@ -22,11 +22,6 @@ type CIPModel struct {
 	// TGrad — Step I (Eq. 3) optimizes T through this.
 	AccumTGrad bool
 	TGrad      *tensor.Tensor
-
-	// arena serves the step tensors of the training loops that run on this
-	// model (Step I, Step II, the Eq. 4 calibration). Nil trains on the
-	// heap; WithT copies carry none.
-	arena *tensor.Arena
 }
 
 // NewCIPModel wraps dual with perturbation t and blending parameter alpha,
@@ -40,7 +35,6 @@ func NewCIPModel(dual *DualChannelModel, t *tensor.Tensor, alpha float64) *CIPMo
 		T:     t,
 		Dual:  dual,
 		TGrad: tensor.New(t.Shape...),
-		arena: new(tensor.Arena),
 	}
 }
 

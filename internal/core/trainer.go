@@ -87,8 +87,16 @@ func (c TrainConfig) withDefaults() TrainConfig {
 // plus the λ_t·|t|₁ magnitude penalty. The updated t stays clipped to the
 // valid input range. Returns the mean blended batch loss observed.
 //
-// Each batch's step tensors come from m's arena, reset per batch.
+// The batches share one step arena for the duration of the call.
 func StepIGeneratePerturbation(m *CIPModel, data *datasets.Dataset, cfg TrainConfig, rng *rand.Rand) float64 {
+	a := tensor.GetArena()
+	defer tensor.PutArena(a)
+	return stepI(a, m, data, cfg, rng)
+}
+
+// stepI is StepIGeneratePerturbation with each batch adopted into arena a,
+// reset per batch (nil: the heap).
+func stepI(a *tensor.Arena, m *CIPModel, data *datasets.Dataset, cfg TrainConfig, rng *rand.Rand) float64 {
 	cfg = cfg.withDefaults()
 	m.AccumTGrad = true
 	defer func() { m.AccumTGrad = false }()
@@ -107,8 +115,8 @@ func StepIGeneratePerturbation(m *CIPModel, data *datasets.Dataset, cfg TrainCon
 			if cfg.Augment {
 				x = datasets.AugmentBatch(rng, x, data.In, cfg.AugmentPad)
 			}
-			m.arena.Reset()
-			m.arena.Adopt(x)
+			a.Reset()
+			a.Adopt(x)
 			m.ZeroTGrad()
 			nn.ZeroGrads(params) // parameter grads are discarded in Step I
 			logits, cache := m.Forward(x, true)
@@ -149,9 +157,18 @@ func StepIGeneratePerturbation(m *CIPModel, data *datasets.Dataset, cfg TrainCon
 // Knowledge-1/3 adversaries), so membership is concealed under ANY
 // perturbation other than the secret t. Returns the mean blended batch loss.
 //
-// Each batch's step tensors come from m's arena, reset per batch and again
-// between the two Eq. 4 terms, so the arena holds one forward and backward.
+// The batches share one step arena for the duration of the call.
 func StepIILearnModel(m *CIPModel, data *datasets.Dataset, cfg TrainConfig,
+	opt nn.Optimizer, rng *rand.Rand) float64 {
+	a := tensor.GetArena()
+	defer tensor.PutArena(a)
+	return stepII(a, m, data, cfg, opt, rng)
+}
+
+// stepII is StepIILearnModel with each batch adopted into arena a (nil:
+// the heap), reset per batch and again between the two Eq. 4 terms, so
+// the arena holds one forward and backward.
+func stepII(a *tensor.Arena, m *CIPModel, data *datasets.Dataset, cfg TrainConfig,
 	opt nn.Optimizer, rng *rand.Rand) float64 {
 	cfg = cfg.withDefaults()
 	params := m.Params()
@@ -171,8 +188,8 @@ func StepIILearnModel(m *CIPModel, data *datasets.Dataset, cfg TrainConfig,
 		if cfg.Augment {
 			x = datasets.AugmentBatch(rng, x, data.In, cfg.AugmentPad)
 		}
-		m.arena.Reset()
-		m.arena.Adopt(x)
+		a.Reset()
+		a.Adopt(x)
 		nn.ZeroGrads(params)
 
 		// Term 1: minimize CE over D_t (weight +1). Only its loss is read
@@ -181,7 +198,7 @@ func StepIILearnModel(m *CIPModel, data *datasets.Dataset, cfg TrainConfig,
 		res := nn.SoftmaxCrossEntropy(logits, y)
 		m.Backward(cache, res.Grad)
 		loss := res.Loss
-		m.arena.Reset()
+		a.Reset()
 
 		// Term 2: maximize CE over original queries (weight −λ_m),
 		// per-sample capped — a member query is pushed up only while its
@@ -390,25 +407,35 @@ func (c *Client) Calibration() *datasets.Dataset { return c.cal }
 func (c *Client) Config() TrainConfig { return c.cfg }
 
 // TrainLocal implements fl.Client: load the global parameters, run Step I
-// then Step II, and return the updated model parameters (not t).
+// then Step II, and return the updated model parameters (not t). Step I,
+// the Eq. 4 calibration and Step II share one step arena for the duration
+// of the call.
 func (c *Client) TrainLocal(round int, global []float64) (fl.Update, error) {
+	a := tensor.GetArena()
+	defer tensor.PutArena(a)
+	return c.trainLocal(a, round, global)
+}
+
+// trainLocal is TrainLocal with every batch drawing its step tensors from
+// arena a (nil: the heap).
+func (c *Client) trainLocal(a *tensor.Arena, round int, global []float64) (fl.Update, error) {
 	if err := nn.SetFlatParams(c.m.Params(), global); err != nil {
 		return fl.Update{}, fmt.Errorf("core: client %d: %w", c.id, err)
 	}
 	c.opt.LR = c.cfg.LR(round)
-	StepIGeneratePerturbation(c.m, c.data, c.cfg, c.rng)
+	stepI(a, c.m, c.data, c.cfg, c.rng)
 
 	// Self-calibrate the Eq. 4 target: the zero-query loss of held-out
 	// (non-memorized) local samples estimates the non-member loss level.
 	cfg := c.cfg
 	if cfg.LambdaM != 0 && cfg.OriginalLossCap <= 0 && c.cal != nil {
 		zero := c.m.WithT(c.m.ZeroT())
-		cfg.OriginalLossCap = fl.MeanLossIn(c.m.arena, zero, c.cal, 64)
+		cfg.OriginalLossCap = fl.MeanLossIn(a, zero, c.cal, 64)
 	}
 	var loss float64
 	for e := 0; e < cfg.LocalEpochs; e++ {
 		epochStart := time.Now()
-		loss = StepIILearnModel(c.m, c.data, cfg, c.opt, c.rng)
+		loss = stepII(a, c.m, c.data, cfg, c.opt, c.rng)
 		cfg.Metrics.observeEpoch(epochStart)
 	}
 	cfg.Metrics.observeRound()

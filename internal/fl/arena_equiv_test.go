@@ -46,12 +46,15 @@ func TestLegacyArenaMatchesHeap(t *testing.T) {
 				rng := rand.New(rand.NewSource(3))
 				c := fl.NewLegacyClient(0, net, shard(),
 					fl.ClientConfig{BatchSize: 16, Momentum: 0.9}, newStep(rng), rng)
+				trainLocal := c.TrainLocal
 				if heap {
-					fl.HeapOnly(c)
+					trainLocal = func(r int, global []float64) (fl.Update, error) {
+						return fl.TrainLocalOnHeap(c, r, global)
+					}
 				}
 				global := nn.FlattenParams(net.Params())
 				for r := 0; r < 3; r++ {
-					u, err := c.TrainLocal(r, global)
+					u, err := trainLocal(r, global)
 					if err != nil {
 						t.Fatal(err)
 					}

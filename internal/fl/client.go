@@ -100,8 +100,6 @@ type LegacyClient struct {
 	// src is non-nil for clients built with NewStatefulLegacyClient: the
 	// serializable source behind rng, required by CaptureState.
 	src *rng.Source
-	// arena serves every training step's tensors, round after round.
-	arena *tensor.Arena
 }
 
 // NewLegacyClient constructs a client. step may be nil for plain training.
@@ -112,14 +110,13 @@ func NewLegacyClient(id int, net nn.Layer, data *datasets.Dataset, cfg ClientCon
 	}
 	cfg = cfg.withDefaults()
 	return &LegacyClient{
-		id:    id,
-		net:   net,
-		data:  data,
-		cfg:   cfg,
-		step:  step,
-		opt:   &nn.SGD{LR: cfg.LR(0), Momentum: cfg.Momentum},
-		rng:   rng,
-		arena: new(tensor.Arena),
+		id:   id,
+		net:  net,
+		data: data,
+		cfg:  cfg,
+		step: step,
+		opt:  &nn.SGD{LR: cfg.LR(0), Momentum: cfg.Momentum},
+		rng:  rng,
 	}
 }
 
@@ -197,8 +194,17 @@ func (c *LegacyClient) Net() nn.Layer { return c.net }
 func (c *LegacyClient) Data() *datasets.Dataset { return c.data }
 
 // TrainLocal implements Client: load globals, run local epochs, return the
-// updated parameters.
+// updated parameters. The batches share one step arena for the duration of
+// the call.
 func (c *LegacyClient) TrainLocal(round int, global []float64) (Update, error) {
+	a := tensor.GetArena()
+	defer tensor.PutArena(a)
+	return c.trainLocal(a, round, global)
+}
+
+// trainLocal is TrainLocal with each batch adopted into arena a (nil: the
+// heap).
+func (c *LegacyClient) trainLocal(a *tensor.Arena, round int, global []float64) (Update, error) {
 	if err := nn.SetFlatParams(c.net.Params(), global); err != nil {
 		return Update{}, fmt.Errorf("fl: client %d: %w", c.id, err)
 	}
@@ -206,7 +212,7 @@ func (c *LegacyClient) TrainLocal(round int, global []float64) (Update, error) {
 	// epoch per round it approximates server-side momentum and converges
 	// noticeably faster than per-round resets on our scale.
 	c.opt.LR = c.cfg.LR(round)
-	loss, err := trainEpochs(c.arena, c.net, c.opt, c.step, c.data, c.cfg, c.rng)
+	loss, err := trainEpochs(a, c.net, c.opt, c.step, c.data, c.cfg, c.rng)
 	if err != nil {
 		return Update{}, fmt.Errorf("fl: client %d: %w", c.id, err)
 	}
@@ -222,7 +228,9 @@ func (c *LegacyClient) TrainLocal(round int, global []float64) (Update, error) {
 // step arena for the duration of the call.
 func TrainEpochs(net nn.Layer, opt nn.Optimizer, step TrainStep,
 	data *datasets.Dataset, cfg ClientConfig, rng *rand.Rand) (float64, error) {
-	return trainEpochs(new(tensor.Arena), net, opt, step, data, cfg, rng)
+	a := tensor.GetArena()
+	defer tensor.PutArena(a)
+	return trainEpochs(a, net, opt, step, data, cfg, rng)
 }
 
 // trainEpochs is TrainEpochs with each batch adopted into arena a, reset

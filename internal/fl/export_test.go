@@ -1,5 +1,7 @@
 package fl
 
-// HeapOnly makes c train every step on the heap, without its step arena,
-// so that tests can hold the arena path against the heap path.
-func HeapOnly(c *LegacyClient) { c.arena = nil }
+// TrainLocalOnHeap is c.TrainLocal with every step on the heap, without a
+// step arena, so that tests can hold the arena path against the heap path.
+func TrainLocalOnHeap(c *LegacyClient, round int, global []float64) (Update, error) {
+	return c.trainLocal(nil, round, global)
+}

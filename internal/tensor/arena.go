@@ -1,6 +1,9 @@
 package tensor
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // Arena is a step-scoped allocator for the tensors of one training step:
 // activations, gradients, layer caches. The loop that owns a minibatch
@@ -24,6 +27,9 @@ import "math"
 //     storage shows up as a wrong result.
 //   - An arena belongs to one goroutine. Kernel workers never allocate
 //     from it; they use the scratch pool (GetTensor).
+//   - A training call takes its arena with GetArena and gives it back with
+//     PutArena when it returns, so a process keeps one arena per training
+//     call running at once, not one per client.
 //
 // A nil *Arena is valid and allocates nothing: Reset does nothing, and
 // Adopt leaves the batch on the heap path.
@@ -61,6 +67,40 @@ func (s *slab[T]) take(n int) []T {
 	}
 	s.next++
 	return b[:n]
+}
+
+// arenas is the free list of step arenas between training calls. An
+// arena is taken for a call and given back when the call returns, so the
+// arenas a process keeps follow the peak number of training calls running
+// at once, not the number of clients. Like the scratch pool it is a
+// mutex-guarded LIFO rather than a sync.Pool, so a collection never throws
+// away the storage the next round refills.
+var arenas struct {
+	sync.Mutex
+	free []*Arena
+}
+
+// GetArena returns a step arena for one training call. The caller owns it
+// until PutArena.
+func GetArena() *Arena {
+	arenas.Lock()
+	defer arenas.Unlock()
+	n := len(arenas.free)
+	if n == 0 {
+		return new(Arena)
+	}
+	a := arenas.free[n-1]
+	arenas.free = arenas.free[:n-1]
+	return a
+}
+
+// PutArena gives a back for another training call to reuse. Every tensor
+// a handed out becomes invalid.
+func PutArena(a *Arena) {
+	a.Reset()
+	arenas.Lock()
+	arenas.free = append(arenas.free, a)
+	arenas.Unlock()
 }
 
 // Reset starts a new step: every tensor the arena handed out since the
